@@ -14,8 +14,8 @@ from .core import (
     constant,
     index_to_tuple,
     strides,
-    tuple_to_index,
 )
+from .minors import _substitute
 
 
 @dataclass(frozen=True)
@@ -142,31 +142,30 @@ class DiagonalRestriction:
         return sum(_repeat_flags(self.f.k, self.f.n))
 
 
-@lru_cache(maxsize=None)
-def _embedding_mapping(k: int, n: int, slots: tuple[int, ...], fill: int) -> tuple[int, ...]:
-    # index map for reading f at (slots <- c, everything else <- fill value
-    # position: -1 means pad with the last coordinate of c, -2 with 0)
-    m = len(slots)
-    out = []
-    for c in all_tuples(k, m):
-        src = [0 if fill == -2 else c[-1]] * n
-        for pos, s in enumerate(slots):
-            src[s - 1] = c[pos]
-        out.append(tuple_to_index(k, src))
-    return tuple(out)
+def _on_slots(f: FiniteFunction, ids: tuple[int, ...]) -> FiniteFunction:
+    # f with slot ids[l] fed from target slot l + 1 and every other slot from
+    # the last target slot.
+    m = len(ids)
+    sigma = [m] * f.n
+    for pos, s in enumerate(ids, start=1):
+        sigma[s - 1] = pos
+    return _substitute(f, m, tuple(sigma))
 
 
 def restrict_to_essential(f: FiniteFunction) -> tuple[FiniteFunction, tuple[int, ...]]:
     """The equivalent function on f's essential slots, plus the slot map.
 
-    Inessential slots are fixed to 0 (any value gives the same function).
-    With no essential slot at all the result is the unary constant f(0,...,0).
+    Inessential slots are fed from the last essential one (any values give
+    the same function), and f itself is returned when every slot is
+    essential.  With no essential slot at all the result is the unary
+    constant f(0,...,0).
     """
     ids = _essential_ids(f.k, f.n, f.table)
     if not ids:
         return constant(f.k, 1, f.b, f.table[0]), ()
-    mapping = _embedding_mapping(f.k, f.n, ids, -2)
-    return FiniteFunction(f.k, len(ids), f.b, tuple(map(f.table.__getitem__, mapping))), ids
+    if len(ids) == f.n:
+        return f, ids
+    return _on_slots(f, ids), ids
 
 
 @dataclass(frozen=True)
@@ -193,9 +192,7 @@ def support_extension(f: FiniteFunction) -> SupportExtension:
     ids = _essential_ids_on_repeat(f.k, f.n, f.table)
     if not ids:
         return SupportExtension(constant(f.k, 1, f.b, f.table[0]), (), True)
-    mapping = _embedding_mapping(f.k, f.n, ids, -1)
-    h = FiniteFunction(f.k, len(ids), f.b, tuple(map(f.table.__getitem__, mapping)))
-    return SupportExtension(h, ids, False)
+    return SupportExtension(_on_slots(f, ids), ids, False)
 
 
 def is_restriction_totally_symmetric(f: FiniteFunction) -> bool:

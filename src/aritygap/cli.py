@@ -2,7 +2,7 @@
 
 Every command reads and writes the dense-table text format on stdin/stdout
 (or via --in/--out) and processes each function in the input stream in turn.
-Exit codes: 0 success, 1 domain error, 2 usage or parse error, 3 when
+Exit codes: 0 success, 1 domain error, 2 usage, parse or file error, 3 when
 ``verify`` finds failures.
 """
 
@@ -19,7 +19,7 @@ from .classify import (
     render_classification,
 )
 from .core import FiniteFunction, FunctionFormatError, parse_stream, render
-from .gap import arity_gap, quasi_arity
+from .gap import arity_gap
 from .oddsupp import is_determined_by_oddsupp, is_restriction_determined_by_oddsupp
 from .oracle import (
     SweepSpec,
@@ -28,6 +28,7 @@ from .oracle import (
     gen_oddsupp_determined,
     gen_quasi_m_ary,
     gen_salomaa,
+    parse_instance_filter,
     render_report,
     verify,
     _resolve_budget,
@@ -91,8 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--filter", help="gap=G or qa=M")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; output is canonical")
+    p.add_argument("--filter", help="gap=G, qa=M or ess=E")
     p.add_argument("--out", dest="outfile")
 
     p = sub.add_parser("verify", help="run a named property sweep")
@@ -225,26 +225,11 @@ def _cmd_enumerate(args, out: _Output) -> int:
     budget = _resolve_budget(None)
     if total > budget:
         raise core.OracleInfeasibleError(f"{total} tables exceed the budget {budget}")
-    want = None
-    if args.filter:
-        key, _, value = args.filter.partition("=")
-        if key not in ("gap", "qa") or not value.lstrip("-").isdigit():
-            raise ValueError(f"unknown filter {args.filter!r}, expected gap=G or qa=M")
-        want = (key, int(value))
+    keep = parse_instance_filter(args.filter) if args.filter else None
     for ident in range(total):
         f = function_by_id(args.k, args.n, args.b, ident)
-        if want is not None:
-            key, value = want
-            if key == "qa":
-                if quasi_arity(f) != value:
-                    continue
-            else:
-                try:
-                    if arity_gap(f).gap != value:
-                        continue
-                except core.GapUndefinedError:
-                    continue
-        out.write(render(f))
+        if keep is None or keep(f):
+            out.write(render(f))
     return 0
 
 
@@ -280,8 +265,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    out = _Output(args)
+    out = None
     try:
+        out = _Output(args)
         return _COMMANDS[args.command](args, out)
     except FunctionFormatError as exc:
         print(f"aritygap: {exc}", file=sys.stderr)
@@ -294,8 +280,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except OSError as exc:
+        print(f"aritygap: {exc}", file=sys.stderr)
+        return 2
     finally:
-        out.close()
+        if out is not None:
+            out.close()
 
 
 def run() -> None:

@@ -17,7 +17,7 @@ from .analysis import (
     _repeat_flags,
     restrict_to_essential,
 )
-from .minors import diagonal, identification_minor
+from .minors import _substitute, diagonal, identification_minor
 
 
 def quasi_arity(f: FiniteFunction) -> int:
@@ -69,11 +69,6 @@ class UnarySupport:
     ambiguous: bool
 
 
-def _compose_on_slot(d: FiniteFunction, n: int, t: int) -> FiniteFunction:
-    """The n-ary function x -> d(x_t) for unary d."""
-    return FiniteFunction(d.k, n, d.b, tuple(d.table[tt[t - 1]] for tt in all_tuples(d.k, n)))
-
-
 def unique_unary_support(f: FiniteFunction) -> UnarySupport:
     qa = quasi_arity(f)
     if qa >= 2:
@@ -89,11 +84,11 @@ def unique_unary_support(f: FiniteFunction) -> UnarySupport:
     d = diagonal(f)
     if f.n == 2:
         return UnarySupport(
-            (_compose_on_slot(d, 2, 1), _compose_on_slot(d, 2, 2)), (1, 2), True
+            (_substitute(d, 2, (1,)), _substitute(d, 2, (2,))), (1, 2), True
         )
     ids = _essential_ids_on_repeat(f.k, f.n, f.table)
     t = ids[0]
-    return UnarySupport((_compose_on_slot(d, f.n, t),), (t,), False)
+    return UnarySupport((_substitute(d, f.n, (t,)),), (t,), False)
 
 
 @dataclass(frozen=True)

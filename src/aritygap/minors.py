@@ -61,12 +61,17 @@ def _sigma_mapping(k: int, m: int, n: int, sigma: tuple[int, ...]) -> tuple[int,
     return tuple(out)
 
 
+def _substitute(g: FiniteFunction, n: int, sigma: tuple[int, ...]) -> FiniteFunction:
+    # The arity-n minor of g under an already valid sigma (g.n entries in 1..n).
+    mapping = _sigma_mapping(g.k, g.n, n, sigma)
+    return FiniteFunction(g.k, n, g.b, tuple(map(g.table.__getitem__, mapping)))
+
+
 def simple_minor(g: FiniteFunction, sigma: MinorMap) -> FiniteFunction:
     """The minor of g under sigma: result(t) = g(t_sigma(1), ..., t_sigma(m))."""
     if sigma.m != g.n:
         raise ValueError(f"sigma has source arity {sigma.m}, function has arity {g.n}")
-    mapping = _sigma_mapping(g.k, sigma.m, sigma.n, sigma.sigma)
-    return FiniteFunction(g.k, sigma.n, g.b, tuple(map(g.table.__getitem__, mapping)))
+    return _substitute(g, sigma.n, sigma.sigma)
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +87,7 @@ def identification_minor(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
         raise ValueError(f"slots ({i}, {j}) not in 1..{f.n}")
     if i == j:
         raise ValueError("identification needs two distinct slots")
-    return simple_minor(f, MinorMap(f.n, f.n, _identification_sigma(f.n, i, j)))
+    return _substitute(f, f.n, _identification_sigma(f.n, i, j))
 
 
 def partition_minor(f: FiniteFunction, delta: VariablePartition) -> FiniteFunction:
@@ -94,7 +99,7 @@ def partition_minor(f: FiniteFunction, delta: VariablePartition) -> FiniteFuncti
         lead = block[0]
         for s in block:
             sigma[s - 1] = lead
-    return simple_minor(f, MinorMap(f.n, f.n, tuple(sigma)))
+    return _substitute(f, f.n, tuple(sigma))
 
 
 def diagonal(f: FiniteFunction) -> FiniteFunction:

@@ -23,6 +23,7 @@ from .core import (
     GapUndefinedError,
     OracleInfeasibleError,
     UnsupportedCodomainError,
+    UnsupportedDomainError,
     all_tuples,
     constant,
     projection,
@@ -35,7 +36,7 @@ from .analysis import (
 )
 from .classify import classify_pseudo_boolean, ternary_pattern
 from .gap import arity_gap, is_semiprojection, quasi_arity
-from .minors import identification_minor
+from .minors import _sigma_mapping, _substitute, identification_minor
 from .oddsupp import (
     _oddsupp_masks,
     is_restriction_determined_by_oddsupp,
@@ -54,34 +55,14 @@ def _resolve_budget(budget: int | None) -> int:
 
 
 @lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # All partitions of {1..n}, each block sorted, blocks sorted by minimum.
-    def grow(elems: list[int]):
-        if not elems:
-            yield []
-            return
-        first, rest = elems[0], elems[1:]
-        for p in grow(rest):
-            for i in range(len(p)):
-                yield p[:i] + [[first] + p[i]] + p[i + 1 :]
-            yield [[first]] + p
-
-    result = []
-    for p in grow(list(range(1, n + 1))):
-        result.append(tuple(sorted(tuple(sorted(b)) for b in p)))
-    return tuple(sorted(result))
-
-
-@lru_cache(maxsize=None)
-def _partition_mapping(k: int, n: int, blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    lead = [0] * n
-    for block in blocks:
-        for s in block:
-            lead[s - 1] = block[0]
-    out = []
-    for t in all_tuples(k, n):
-        out.append(tuple_to_index(k, tuple(t[l - 1] for l in lead)))
-    return tuple(out)
+def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    # Every partition of {1..n} except the finest, as its lead sigma: slot s
+    # is fed from the least slot of its block.  Slot by slot, a slot either
+    # joins the block of an earlier lead or opens a block of its own.
+    leads = [()]
+    for s in range(1, n + 1):
+        leads = [p + (t,) for p in leads for t in (*sorted(set(p)), s)]
+    return tuple(p for p in leads if p != tuple(range(1, n + 1)))
 
 
 def oracle_gap(f: FiniteFunction) -> int:
@@ -99,10 +80,8 @@ def oracle_gap(f: FiniteFunction) -> int:
         raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
     best = -1
     seen = set()
-    for blocks in _partitions(f.n):
-        if len(blocks) == f.n:
-            continue
-        mapping = _partition_mapping(f.k, f.n, blocks)
+    for sigma in _partitions(f.n):
+        mapping = _sigma_mapping(f.k, f.n, f.n, sigma)
         table = tuple(map(f.table.__getitem__, mapping))
         if table in seen:
             continue
@@ -178,11 +157,7 @@ def gen_essentially_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFu
         core = _random_table(rng, k**m, b)
         if len(_essential_ids(k, m, core)) != m:
             continue
-        table = []
-        for t in all_tuples(k, n):
-            sub = tuple(t[s - 1] for s in slots)
-            table.append(core[tuple_to_index(k, sub)])
-        return FiniteFunction(k, n, b, tuple(table))
+        return _substitute(FiniteFunction(k, m, b, core), n, tuple(slots))
     raise ValueError(f"no essentially {m}-ary table found in {GENERATOR_ATTEMPTS} attempts")
 
 
@@ -696,9 +671,13 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
 
     checked counts the functions the property's hypotheses applied to;
     failures are reported sorted by table and must reproduce when replayed.
+    `jobs` must be at least 1 and is capped at the CPU count.
     """
     if spec.theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id {spec.theorem!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     check = THEOREMS[spec.theorem]
     if check.needs_operation and spec.b != spec.k:
         raise UnsupportedCodomainError(f"{spec.theorem} needs b = k")

@@ -196,14 +196,34 @@ def test_enumerate_filter_qa(monkeypatch, capsys):
     ]
 
 
+def test_enumerate_filter_ess(monkeypatch, capsys):
+    code, out, _ = run_cli(
+        ["enumerate", "--k", "2", "--n", "2", "--b", "2", "--filter", "ess=1"],
+        "",
+        monkeypatch,
+        capsys,
+    )
+    assert code == 0
+    assert [f.table for f in parse_stream(out)] == [
+        (0, 0, 1, 1),
+        (0, 1, 0, 1),
+        (1, 0, 1, 0),
+        (1, 1, 0, 0),
+    ]
+
+
 def test_enumerate_bad_filter(monkeypatch, capsys):
     code, _, err = run_cli(
-        ["enumerate", "--k", "2", "--n", "2", "--b", "2", "--filter", "ess=2"],
+        ["enumerate", "--k", "2", "--n", "2", "--b", "2", "--filter", "range=3"],
         "",
         monkeypatch,
         capsys,
     )
     assert code == 2
+
+
+def test_enumerate_has_no_jobs_flag(monkeypatch, capsys):
+    assert main(["enumerate", "--k", "2", "--n", "1", "--b", "2", "--jobs", "2"]) == 2
 
 
 def test_enumerate_budget_env(monkeypatch, capsys):
@@ -238,6 +258,73 @@ def test_verify_sampled_with_seed(monkeypatch, capsys):
     assert out == out2  # byte-identical on identical inputs
 
 
+def test_verify_domain_error_is_one_line(monkeypatch, capsys):
+    code, out, err = run_cli(
+        ["verify", "--theorem", "T5.1", "--k", "3", "--n", "2", "--b", "2", "--exhaustive"],
+        "",
+        monkeypatch,
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "aritygap: T5.1 is about two-element domains\n"
+
+
+def test_verify_rejects_nonpositive_jobs(monkeypatch, capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(
+            ["verify", "--theorem", "T4.1", "--k", "2", "--n", "2", "--b", "2",
+             "--exhaustive", "--jobs", jobs],
+            "",
+            monkeypatch,
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"aritygap: jobs must be >= 1, got {jobs}\n"
+
+
+class InlinePool:
+    """Stands in for multiprocessing.Pool: runs the chunks in this process."""
+
+    def __init__(self, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
+    import aritygap.oracle
+
+    sizes = []
+
+    def pool(processes, initializer, initargs):
+        sizes.append(processes)
+        return InlinePool(initializer, initargs)
+
+    argv = ["verify", "--theorem", "T4.1", "--k", "2", "--n", "3", "--b", "2",
+            "--exhaustive", "--jobs", "64"]
+    monkeypatch.setattr(aritygap.oracle, "Pool", pool)
+    monkeypatch.setattr(aritygap.oracle.os, "cpu_count", lambda: 2)
+    code, out, _ = run_cli(argv, "", monkeypatch, capsys)
+    assert code == 0
+    assert out == "theorem=T4.1 checked=218 failures=0 seed=-\n"
+    assert sizes == [2]
+    # an unknown CPU count means one worker: no pool at all
+    monkeypatch.setattr(aritygap.oracle.os, "cpu_count", lambda: None)
+    code, out, _ = run_cli(argv, "", monkeypatch, capsys)
+    assert code == 0
+    assert out == "theorem=T4.1 checked=218 failures=0 seed=-\n"
+    assert sizes == [2]
+
+
 def test_verify_unknown_theorem(monkeypatch, capsys):
     assert main(["verify", "--theorem", "T9.9", "--k", "2", "--n", "2", "--b", "2",
                  "--exhaustive"]) == 2
@@ -267,6 +354,25 @@ def test_out_flag(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "2 2 2\n0 1 0 0\n"
+
+
+def test_missing_input_file(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing.fn"
+    code, out, err = run_cli(["analyze", "--in", str(missing)], "", monkeypatch, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("aritygap: ") and str(missing) in err
+    assert err.count("\n") == 1
+
+
+def test_output_path_is_a_directory(tmp_path, monkeypatch, capsys):
+    code, out, err = run_cli(
+        ["gen", "salomaa", "--k", "2", "--out", str(tmp_path)], "", monkeypatch, capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("aritygap: ") and str(tmp_path) in err
+    assert err.count("\n") == 1
 
 
 def test_shell_pipeline_composes():

@@ -1,0 +1,141 @@
+"""Properties of the one substitution-index builder in `minors`.
+
+Every re-indexed table (simple minors, restrictions to essential slots,
+support extensions and the partition minors behind `oracle_gap`) is gathered
+through the same index map, so each result is checked here against a
+reference built from `FiniteFunction.eval` alone.  Runs are derandomized, so
+the suite stays deterministic.
+"""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from aritygap import FiniteFunction, MinorMap, restrict_to_essential, simple_minor, support_extension
+from aritygap.oracle import _partitions
+
+MAX_SIZE = 1024
+PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def max_arity(k):
+    n = 1
+    while k ** (n + 1) <= MAX_SIZE:
+        n += 1
+    return n
+
+
+def points(k, n):
+    return itertools.product(range(k), repeat=n)
+
+
+def has_repeat(t):
+    return len(t) == 1 or len(set(t)) < len(t)
+
+
+@st.composite
+def shapes(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, max_arity(k)))
+    b = draw(st.integers(2, 3))
+    return k, n, b
+
+
+@st.composite
+def tables(draw, k, n, b):
+    return tuple(draw(st.lists(st.integers(0, b - 1), min_size=k**n, max_size=k**n)))
+
+
+@st.composite
+def functions(draw):
+    """A function that depends on a random subset of its slots, optionally
+    with its values off the repeat set overwritten, so restrictions and
+    support extensions drop slots as often as they keep them."""
+    k, n, b = draw(shapes())
+    slots = sorted(draw(st.sets(st.integers(1, n))))
+    inner = FiniteFunction(k, max(len(slots), 1), b, draw(tables(k, max(len(slots), 1), b)))
+    noise = draw(tables(k, n, b)) if draw(st.booleans()) else None
+    table = []
+    for pos, t in enumerate(points(k, n)):
+        if noise is not None and not has_repeat(t):
+            table.append(noise[pos])
+        elif slots:
+            table.append(inner.eval(tuple(t[s - 1] for s in slots)))
+        else:
+            table.append(inner.eval((0,)))
+    return FiniteFunction(k, n, b, tuple(table))
+
+
+@st.composite
+def minor_cases(draw):
+    k, m, b = draw(shapes())
+    g = FiniteFunction(k, m, b, draw(tables(k, m, b)))
+    n = draw(st.integers(1, max_arity(k)))
+    sigma = tuple(draw(st.lists(st.integers(1, n), min_size=m, max_size=m)))
+    return g, MinorMap(m, n, sigma)
+
+
+@PROFILE
+@given(minor_cases())
+def test_simple_minor_is_the_substitution(case):
+    g, sigma = case
+    minor = simple_minor(g, sigma)
+    assert (minor.k, minor.n, minor.b) == (g.k, sigma.n, g.b)
+    for t in points(g.k, sigma.n):
+        assert minor.eval(t) == g.eval(tuple(t[s - 1] for s in sigma.sigma))
+
+
+@PROFILE
+@given(functions())
+def test_restrict_to_essential_is_equivalent(f):
+    core, slots = restrict_to_essential(f)
+    assert list(slots) == sorted(set(slots))
+    if len(slots) == f.n:
+        assert core is f
+    for t in points(f.k, f.n):
+        args = tuple(t[s - 1] for s in slots) if slots else (0,)
+        assert f.eval(t) == core.eval(args)
+
+
+@PROFILE
+@given(functions().filter(lambda f: f.n != 2))
+def test_support_extension_matches_on_repeat_set(f):
+    ext = support_extension(f)
+    h = ext.h
+    if ext.nullary:
+        assert ext.slots == () and h.n == 1
+    else:
+        # h(c1, ..., cm) is f with slot i_l = c_l and every other slot = c_m
+        for c in points(f.k, len(ext.slots)):
+            t = [c[-1]] * f.n
+            for pos, s in enumerate(ext.slots):
+                t[s - 1] = c[pos]
+            assert h.eval(c) == f.eval(tuple(t))
+    for t in points(f.k, f.n):
+        if has_repeat(t):
+            args = tuple(t[s - 1] for s in ext.slots) if ext.slots else (0,)
+            assert f.eval(t) == h.eval(args)
+
+
+def bell(n):
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[-1]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 8))
+def test_partitions_are_the_coarser_lead_sigmas(n):
+    leads = _partitions(n)
+    assert len(leads) == bell(n) - 1
+    assert len(set(leads)) == len(leads)
+    assert tuple(range(1, n + 1)) not in leads
+    for sigma in leads:
+        assert len(sigma) == n
+        # each slot is fed from the least slot of its block, itself a lead
+        for s, lead in enumerate(sigma, start=1):
+            assert lead <= s and sigma[lead - 1] == lead
