@@ -1,5 +1,8 @@
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from aritygap import FiniteFunction, parse_stream
 from aritygap.cli import main
@@ -398,3 +401,28 @@ def test_shell_pipeline_composes():
         check=True,
     )
     assert analyzed.stdout == "ess=3 qa=0 essl=0 gap=3 pair=1,2\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+ANALYZE_INPUTS = ("random", "parity", "padded", "quasi", "salomaa")
+# name -> (argv, input files fed to stdin in order); the expected stdout is
+# tests/golden/<name>.out
+GOLDEN_CASES = {
+    **{f"analyze-{name}": (["analyze"], (name,)) for name in ANALYZE_INPUTS},
+    "classify-mixed": (["classify"], ANALYZE_INPUTS),
+    "enumerate-gap2": (["enumerate", "--k", "2", "--n", "3", "--b", "2", "--filter", "gap=2"], ()),
+    "verify-T6.3": (
+        ["verify", "--theorem", "T6.3", "--k", "3", "--n", "5", "--b", "2",
+         "--samples", "200", "--seed", "7"],
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_transcript(name, monkeypatch, capsys):
+    argv, inputs = GOLDEN_CASES[name]
+    stdin_text = "".join((GOLDEN / f"{i}.fn").read_text() for i in inputs)
+    code, out, err = run_cli(argv, stdin_text, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.out").read_text()
