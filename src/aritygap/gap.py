@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .core import (
     FiniteFunction,
@@ -113,9 +114,11 @@ def arity_gap(f: FiniteFunction) -> GapReport:
     """Minimum drop in essential arity over identifications of two essential slots.
 
     The function is first replaced by the equivalent one on its essential
-    slots, then every unordered pair of slots is identified; the reported
-    pair is the lexicographically least one achieving the minimum drop,
-    mapped back to the original numbering.
+    slots, then unordered pairs of slots are identified in lexicographic
+    order; the reported pair is the least one achieving the minimum drop,
+    mapped back to the original numbering.  The scan stops at the first
+    minor with ess - 1 essential slots: identifying slot i with slot j makes
+    slot i inessential, so no minor keeps more, and the result is exact.
     """
     g, slots = restrict_to_essential(f)
     ess = len(slots)
@@ -123,13 +126,14 @@ def arity_gap(f: FiniteFunction) -> GapReport:
         raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
     best = -1
     best_pair = (1, 2)
-    for i in range(1, ess + 1):
-        for j in range(i + 1, ess + 1):
-            minor = identification_minor(g, i, j)
-            e = len(_essential_ids(g.k, g.n, minor.table))
-            if e > best:
-                best = e
-                best_pair = (i, j)
+    for i, j in combinations(range(1, ess + 1), 2):
+        minor = identification_minor(g, i, j)
+        e = len(_essential_ids(g.k, g.n, minor.table))
+        if e > best:
+            best = e
+            best_pair = (i, j)
+            if e == ess - 1:
+                break
     qa = quasi_arity(g)
     support = unique_unary_support(g).supports[0] if qa <= 1 else None
     return GapReport(

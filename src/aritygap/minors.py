@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FiniteFunction, all_tuples, tuple_to_index
+from .core import FiniteFunction
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,16 @@ class VariablePartition:
 
 @lru_cache(maxsize=None)
 def _sigma_mapping(k: int, m: int, n: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
-    # target index -> source index under t |-> (t_sigma(1), ..., t_sigma(m))
-    out = []
-    for t in all_tuples(k, n):
-        out.append(tuple_to_index(k, tuple(t[s - 1] for s in sigma)))
+    # target index -> source index under t |-> (t_sigma(1), ..., t_sigma(m)).
+    # Source slot l reads target slot sigma(l), so the source index of t is
+    # sum_s t_s * w_s with w_s = sum of k^(m-l) over the l with sigma(l) = s;
+    # expanding the target slots in order keeps the list in table-index order.
+    weights = [0] * n
+    for l, s in enumerate(sigma, start=1):
+        weights[s - 1] += k ** (m - l)
+    out = [0]
+    for w in weights:
+        out = [x + a * w for x in out for a in range(k)]
     return tuple(out)
 
 
