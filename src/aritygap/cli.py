@@ -25,13 +25,13 @@ from .oracle import (
     SweepSpec,
     THEOREMS,
     function_by_id,
+    function_count,
     gen_oddsupp_determined,
     gen_quasi_m_ary,
     gen_salomaa,
     parse_instance_filter,
     render_report,
     verify,
-    _resolve_budget,
 )
 
 
@@ -123,15 +123,20 @@ def _read_functions(args) -> list[FiniteFunction]:
 
 
 class _Output:
+    """Stdout, or the --out file opened (and truncated) at the first write,
+    so a command that fails before writing leaves an existing file as it was."""
+
     def __init__(self, args):
         self.path = getattr(args, "outfile", None)
-        self.fh = open(self.path, "w", encoding="utf-8") if self.path else sys.stdout
+        self.fh = None if self.path else sys.stdout
 
     def write(self, text: str):
+        if self.fh is None:
+            self.fh = open(self.path, "w", encoding="utf-8")
         self.fh.write(text)
 
     def close(self):
-        if self.path:
+        if self.path and self.fh is not None:
             self.fh.close()
 
 
@@ -221,10 +226,7 @@ def _cmd_gen(args, out: _Output) -> int:
 
 
 def _cmd_enumerate(args, out: _Output) -> int:
-    total = args.b ** (args.k**args.n)
-    budget = _resolve_budget(None)
-    if total > budget:
-        raise core.OracleInfeasibleError(f"{total} tables exceed the budget {budget}")
+    total = function_count(args.k, args.n, args.b)
     keep = parse_instance_filter(args.filter) if args.filter else None
     for ident in range(total):
         f = function_by_id(args.k, args.n, args.b, ident)
@@ -265,10 +267,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    out = None
+    out = _Output(args)
     try:
-        out = _Output(args)
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, out)
+        out.write("")  # a command that wrote nothing still leaves an empty --out file
+        return code
     except FunctionFormatError as exc:
         print(f"aritygap: {exc}", file=sys.stderr)
         return 2
@@ -284,8 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"aritygap: {exc}", file=sys.stderr)
         return 2
     finally:
-        if out is not None:
-            out.close()
+        out.close()
 
 
 def run() -> None:

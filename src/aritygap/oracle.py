@@ -19,6 +19,7 @@ from multiprocessing import Pool
 from typing import Callable, Sequence
 
 from .core import (
+    MAX_TABLE_ENTRIES,
     FiniteFunction,
     GapUndefinedError,
     OracleInfeasibleError,
@@ -52,6 +53,38 @@ def _resolve_budget(budget: int | None) -> int:
         return budget
     env = os.environ.get("ARITYGAP_BUDGET")
     return int(env) if env else DEFAULT_BUDGET
+
+
+def table_entries(k: int, n: int) -> int:
+    """k^n, the size of one table over k and n; ValueError over MAX_TABLE_ENTRIES.
+
+    k^n exceeds the limit once n reaches the limit's bit length, so the
+    power is never computed for a larger n.
+    """
+    if k < 2:
+        raise ValueError(f"domain size k must be >= 2, got {k}")
+    if n < 1:
+        raise ValueError(f"arity n must be >= 1, got {n}")
+    if n >= MAX_TABLE_ENTRIES.bit_length() or k**n > MAX_TABLE_ENTRIES:
+        raise ValueError(f"table would need {k}^{n} entries, over the {MAX_TABLE_ENTRIES} limit")
+    return k**n
+
+
+def function_count(k: int, n: int, b: int, budget: int | None = None) -> int:
+    """b^(k^n), the number of tables over k, n and b; OracleInfeasibleError
+    over the budget.
+
+    For b >= 2 the count exceeds the budget once k^n reaches the budget's
+    bit length, so a count that large is named as a power, not computed.
+    """
+    size = table_entries(k, n)
+    budget = _resolve_budget(budget)
+    if b >= 2 and size >= budget.bit_length():
+        raise OracleInfeasibleError(f"{b}^{size} tables exceed the budget {budget}")
+    total = b**size
+    if total > budget:
+        raise OracleInfeasibleError(f"{total} tables exceed the budget {budget}")
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -683,13 +716,13 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
         raise UnsupportedCodomainError(f"{spec.theorem} needs b = k")
     if check.needs_two_element_domain and spec.k != 2:
         raise UnsupportedDomainError(f"{spec.theorem} is about two-element domains")
+    table_entries(spec.k, spec.n)
     start = time.perf_counter()
     if spec.mode == "exhaustive":
-        total = spec.b ** (spec.k**spec.n)
-        if total > _resolve_budget(budget):
-            raise OracleInfeasibleError(
-                f"{total} tables exceed the budget; use sampling"
-            )
+        try:
+            total = function_count(spec.k, spec.n, spec.b, budget)
+        except OracleInfeasibleError as exc:
+            raise OracleInfeasibleError(f"{exc}; use sampling") from None
         extras: list[FiniteFunction] = []
     else:
         total = spec.samples

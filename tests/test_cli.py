@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -376,6 +377,85 @@ def test_output_path_is_a_directory(tmp_path, monkeypatch, capsys):
     assert out == ""
     assert err.startswith("aritygap: ") and str(tmp_path) in err
     assert err.count("\n") == 1
+
+
+def test_failed_command_leaves_out_file_untouched(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "old.txt"
+    const = tmp_path / "const.fn"
+    const.write_text("2 2 2\n0 0 0 0\n")
+    for argv, expected in (
+        (["analyze", "--in", str(tmp_path / "missing.fn")], 2),
+        (["analyze", "--in", str(const)], 1),
+    ):
+        target.write_text("old contents\n")
+        code, out, err = run_cli(argv + ["--out", str(target)], "", monkeypatch, capsys)
+        assert code == expected
+        assert out == "" and err.startswith("aritygap: ")
+        assert target.read_text() == "old contents\n"
+
+
+def test_out_file_empty_when_nothing_written(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "F"
+    target.write_text("old contents\n")
+    code, out, _ = run_cli(
+        ["enumerate", "--k", "2", "--n", "2", "--b", "2", "--filter", "gap=5",
+         "--out", str(target)],
+        "",
+        monkeypatch,
+        capsys,
+    )
+    assert code == 0
+    assert out == ""
+    assert target.read_text() == ""
+
+
+def _limited_address_space():
+    import resource
+
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv, expected, message",
+    [
+        (["enumerate", "--k", "2", "--n", "64", "--b", "2"], 2,
+         "table would need 2^64 entries, over the 100000000 limit"),
+        (["enumerate", "--k", "2", "--n", "20", "--b", "2"], 1,
+         "2^1048576 tables exceed the budget 10000000"),
+        (["verify", "--theorem", "T4.4", "--k", "10", "--n", "12", "--b", "2",
+          "--samples", "1"], 2,
+         "table would need 10^12 entries, over the 100000000 limit"),
+        (["verify", "--theorem", "T4.1", "--k", "2", "--n", "64", "--b", "2",
+          "--exhaustive"], 2,
+         "table would need 2^64 entries, over the 100000000 limit"),
+        (["verify", "--theorem", "T4.1", "--k", "3", "--n", "12", "--b", "2",
+          "--exhaustive"], 1,
+         "2^531441 tables exceed the budget 10000000; use sampling"),
+    ],
+    ids=[
+        "enumerate-wide-table",
+        "enumerate-over-budget",
+        "verify-sampled-wide-table",
+        "verify-exhaustive-wide-table",
+        "verify-exhaustive-over-budget",
+    ],
+)
+def test_huge_function_space_is_refused_at_once(argv, expected, message):
+    # A child process with 1 GiB of address space and a timeout, so that a
+    # regression fails here instead of hanging or exhausting the machine.
+    env = {k: v for k, v in os.environ.items() if k != "ARITYGAP_BUDGET"}
+    done = subprocess.run(
+        [sys.executable, "-m", "aritygap", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limited_address_space,
+        env=env,
+    )
+    assert done.returncode == expected
+    assert done.stdout == ""
+    assert done.stderr == f"aritygap: {message}\n"
 
 
 def test_shell_pipeline_composes():

@@ -30,7 +30,13 @@ from aritygap import (
     simple_minor,
     verify,
 )
-from aritygap.oracle import TheoremCheck, constructed_witnesses, sampled_function
+from aritygap.oracle import (
+    TheoremCheck,
+    constructed_witnesses,
+    function_count,
+    sampled_function,
+    table_entries,
+)
 
 XOR2 = FiniteFunction(2, 2, 2, (0, 1, 1, 0))
 AND2 = FiniteFunction(2, 2, 2, (0, 0, 0, 1))
@@ -243,6 +249,30 @@ def test_verify_jobs_do_not_change_output():
 def test_verify_budget():
     with pytest.raises(OracleInfeasibleError):
         verify(SweepSpec("T4.1", 3, 3, 3, "exhaustive"), budget=1000)
+
+
+def test_function_count_against_the_budget():
+    assert function_count(2, 2, 2, budget=16) == 16
+    assert function_count(3, 2, 2, budget=512) == 512
+    # 3^4 = 81 > 80, decided by computing a count that stays small
+    with pytest.raises(OracleInfeasibleError, match="^81 tables exceed the budget 80$"):
+        function_count(2, 2, 3, budget=80)
+    # 2^4 > 10 once k^n = 4 reaches the bit length of 10: named, not computed
+    with pytest.raises(OracleInfeasibleError, match=r"^2\^4 tables exceed the budget 10$"):
+        function_count(2, 2, 2, budget=10)
+    with pytest.raises(OracleInfeasibleError, match=r"^2\^1048576 tables"):
+        function_count(2, 20, 2)
+
+
+def test_table_entries_limit():
+    assert table_entries(10, 8) == 10**8
+    for k, n in ((10, 9), (2, 27), (2, 10**18)):
+        with pytest.raises(ValueError, match=f"^table would need {k}\\^{n} entries"):
+            table_entries(k, n)
+    with pytest.raises(ValueError, match="domain size"):
+        table_entries(1, 3)
+    with pytest.raises(ValueError, match="arity"):
+        table_entries(2, 0)
 
 
 def test_verify_validates_parameters():

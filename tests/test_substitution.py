@@ -1,17 +1,34 @@
-"""Properties of the one substitution-index builder in `minors`.
+"""Properties of the one substitution-index builder in `minors`, and of the
+pair scan in `arity_gap` that stops early.
 
 Every re-indexed table (simple minors, restrictions to essential slots,
 support extensions and the partition minors behind `oracle_gap`) is gathered
 through the same index map, so each result is checked here against a
-reference built from `FiniteFunction.eval` alone.  Runs are derandomized, so
+reference built from `FiniteFunction.eval` alone.  `arity_gap` is checked
+against a scan of every pair of essential slots.  Runs are derandomized, so
 the suite stays deterministic.
 """
 
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from aritygap import FiniteFunction, MinorMap, restrict_to_essential, simple_minor, support_extension
+import aritygap.gap
+from aritygap import (
+    FiniteFunction,
+    GapUndefinedError,
+    MinorMap,
+    arity_gap,
+    essential_arity,
+    essential_slots,
+    gen_salomaa,
+    identification_minor,
+    restrict_to_essential,
+    simple_minor,
+    support_extension,
+)
 from aritygap.oracle import _partitions
 
 MAX_SIZE = 1024
@@ -139,3 +156,74 @@ def test_partitions_are_the_coarser_lead_sigmas(n):
         # each slot is fed from the least slot of its block, itself a lead
         for s, lead in enumerate(sigma, start=1):
             assert lead <= s and sigma[lead - 1] == lead
+
+
+def all_pairs_gap(f):
+    """(ess, essl, gap, pair, essential) from every pair of essential slots:
+    the lexicographically least pair whose minor keeps the most slots."""
+    slots = tuple(essential_slots(f))
+    kept = {
+        (i, j): essential_arity(identification_minor(f, i, j))
+        for i, j in itertools.combinations(slots, 2)
+    }
+    essl = max(kept.values())
+    pair = min(p for p, e in kept.items() if e == essl)
+    return len(slots), essl, len(slots) - essl, pair, slots
+
+
+def report_fields(f):
+    r = arity_gap(f)
+    return r.ess, r.essl, r.gap, r.pair, r.essential
+
+
+def parity(k, n):
+    return FiniteFunction(k, n, k, tuple(sum(t) % k for t in points(k, n)))
+
+
+@PROFILE
+@given(functions())
+def test_arity_gap_matches_all_pairs(f):
+    if len(essential_slots(f)) < 2:
+        with pytest.raises(GapUndefinedError):
+            arity_gap(f)
+        return
+    assert report_fields(f) == all_pairs_gap(f)
+
+
+@pytest.mark.parametrize(
+    "f", [parity(2, 2), parity(2, 5), parity(2, 8), gen_salomaa(2), gen_salomaa(3)],
+    ids=["parity-2-2", "parity-2-5", "parity-2-8", "salomaa-2", "salomaa-3"],
+)
+def test_arity_gap_without_early_exit(f):
+    # no minor keeps ess - 1 slots, so every pair is visited
+    fields = report_fields(f)
+    assert fields == all_pairs_gap(f)
+    assert fields[2] >= 2
+
+
+def counted_identifications(monkeypatch):
+    calls = []
+
+    def counting(g, i, j):
+        calls.append((i, j))
+        return identification_minor(g, i, j)
+
+    monkeypatch.setattr(aritygap.gap, "identification_minor", counting)
+    return calls
+
+
+def test_arity_gap_stops_at_first_pair_keeping_ess_minus_one(monkeypatch):
+    rng = random.Random(5)
+    f = FiniteFunction(2, 6, 2, tuple(rng.randrange(2) for _ in range(64)))
+    ess = essential_arity(f)
+    assert ess == 6 and essential_arity(identification_minor(f, 1, 2)) == ess - 1
+    calls = counted_identifications(monkeypatch)
+    assert arity_gap(f).pair == (1, 2)
+    assert calls == [(1, 2)]
+
+
+def test_arity_gap_visits_every_pair_of_a_parity_table(monkeypatch):
+    f = parity(2, 6)
+    calls = counted_identifications(monkeypatch)
+    assert arity_gap(f).gap == 2
+    assert calls == list(itertools.combinations(range(1, 7), 2))
