@@ -74,12 +74,14 @@ def function_count(k: int, n: int, b: int, budget: int | None = None) -> int:
     """b^(k^n), the number of tables over k, n and b; OracleInfeasibleError
     over the budget.
 
-    For b >= 2 the count exceeds the budget once k^n reaches the budget's
-    bit length, so a count that large is named as a power, not computed.
+    The count exceeds the budget once k^n reaches the budget's bit length,
+    so a count that large is named as a power, not computed.
     """
+    if b < 2:
+        raise ValueError(f"codomain size b must be >= 2, got {b}")
     size = table_entries(k, n)
     budget = _resolve_budget(budget)
-    if b >= 2 and size >= budget.bit_length():
+    if size >= budget.bit_length():
         raise OracleInfeasibleError(f"{b}^{size} tables exceed the budget {budget}")
     total = b**size
     if total > budget:

@@ -262,6 +262,8 @@ def test_function_count_against_the_budget():
         function_count(2, 2, 2, budget=10)
     with pytest.raises(OracleInfeasibleError, match=r"^2\^1048576 tables"):
         function_count(2, 20, 2)
+    with pytest.raises(ValueError, match="codomain size"):
+        function_count(2, 26, -3)
 
 
 def test_table_entries_limit():
