@@ -485,24 +485,48 @@ def test_shell_pipeline_composes():
 
 GOLDEN = Path(__file__).parent / "golden"
 ANALYZE_INPUTS = ("random", "parity", "padded", "quasi", "salomaa")
-# name -> (argv, input files fed to stdin in order); the expected stdout is
-# tests/golden/<name>.out
+MALFORMED_INPUTS = (
+    "bad-token",
+    "bad-value",
+    "short-table",
+    "bad-header",
+    "header-not-integer",
+    "incomplete-header",
+    "compact-comment",
+    "compact-bad-value",
+    "over-limit-header",
+)
+# name -> (argv, input files fed to stdin in order, exit code); the expected
+# stdout is tests/golden/<name>.out, and for a nonzero exit code the expected
+# stderr is tests/golden/<name>.err and stdout is empty
 GOLDEN_CASES = {
-    **{f"analyze-{name}": (["analyze"], (name,)) for name in ANALYZE_INPUTS},
-    "classify-mixed": (["classify"], ANALYZE_INPUTS),
-    "enumerate-gap2": (["enumerate", "--k", "2", "--n", "3", "--b", "2", "--filter", "gap=2"], ()),
+    **{f"analyze-{name}": (["analyze"], (name,), 0) for name in ANALYZE_INPUTS},
+    "classify-mixed": (["classify"], ANALYZE_INPUTS, 0),
+    "enumerate-gap2": (["enumerate", "--k", "2", "--n", "3", "--b", "2", "--filter", "gap=2"], (), 0),
     "verify-T6.3": (
         ["verify", "--theorem", "T6.3", "--k", "3", "--n", "5", "--b", "2",
          "--samples", "200", "--seed", "7"],
         (),
+        0,
     ),
+    "minor-identify": (["minor", "--identify", "2,1"], ANALYZE_INPUTS, 0),
+    "minor-sigma": (["minor", "--sigma", "3,1,3", "--target-arity", "4"], ("ternary",), 0),
+    "minor-diagonal": (["minor", "--diagonal"], ANALYZE_INPUTS, 0),
+    "oddsupp-check": (["oddsupp-check"], ANALYZE_INPUTS, 0),
+    "oddsupp-check-restricted": (["oddsupp-check", "--restricted"], ANALYZE_INPUTS, 0),
+    "gen-salomaa": (["gen", "salomaa", "--k", "3"], (), 0),
+    "gen-quasi": (["gen", "quasi", "--k", "4", "--n", "4", "--b", "3", "--m", "2", "--seed", "5"], (), 0),
+    "gen-oddsupp": (["gen", "oddsupp", "--k", "3", "--n", "4", "--b", "2", "--seed", "1"], (), 0),
+    **{f"error-{name}": (["analyze"], (name,), 2) for name in MALFORMED_INPUTS},
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_transcript(name, monkeypatch, capsys):
-    argv, inputs = GOLDEN_CASES[name]
+    argv, inputs, code = GOLDEN_CASES[name]
     stdin_text = "".join((GOLDEN / f"{i}.fn").read_text() for i in inputs)
-    code, out, err = run_cli(argv, stdin_text, monkeypatch, capsys)
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / f"{name}.out").read_text()
+    got = run_cli(argv, stdin_text, monkeypatch, capsys)
+    if code == 0:
+        assert got == (0, (GOLDEN / f"{name}.out").read_text(), "")
+    else:
+        assert got == (code, "", (GOLDEN / f"{name}.err").read_text())
