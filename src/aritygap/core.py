@@ -29,6 +29,9 @@ from typing import Callable, Iterator, Sequence
 
 # Guard against absurd table sizes before allocating anything.
 MAX_TABLE_ENTRIES = 10**8
+# 2^n alone exceeds MAX_TABLE_ENTRIES once n reaches this, so k^n is never
+# computed for a larger n.
+_LIMIT_BITS = MAX_TABLE_ENTRIES.bit_length()
 
 
 class ArityGapError(Exception):
@@ -73,6 +76,17 @@ class FunctionFormatError(ValueError):
                 where += f", col {column}"
             where += ": "
         super().__init__(where + message)
+
+
+def over_table_limit(k: int, n: int) -> bool:
+    """Whether a table over a domain of k >= 2 elements and arity n needs more
+    than MAX_TABLE_ENTRIES entries; k^n is computed only when n is small."""
+    return n >= _LIMIT_BITS or k**n > MAX_TABLE_ENTRIES
+
+
+def _over_limit_message(k: int, n: int) -> str:
+    entries = f"{k}^{n}" if n >= _LIMIT_BITS else k**n
+    return f"table would need {entries} entries, over the {MAX_TABLE_ENTRIES} limit"
 
 
 @lru_cache(maxsize=None)
@@ -120,11 +134,9 @@ class FiniteFunction:
             raise ValueError(f"arity n must be >= 1, got {self.n}")
         if self.b < 2:
             raise ValueError(f"codomain size b must be >= 2, got {self.b}")
+        if over_table_limit(self.k, self.n):
+            raise ValueError(_over_limit_message(self.k, self.n))
         size = self.k**self.n
-        if size > MAX_TABLE_ENTRIES:
-            raise ValueError(
-                f"table would need {size} entries, over the {MAX_TABLE_ENTRIES} limit"
-            )
         if not isinstance(self.table, tuple):
             object.__setattr__(self, "table", tuple(self.table))
         if len(self.table) != size:
@@ -212,13 +224,9 @@ def parse_stream(text: str) -> list[FiniteFunction]:
                 header[0][1],
                 header[0][2],
             )
+        if over_table_limit(k, n):
+            raise FunctionFormatError(_over_limit_message(k, n), header[0][1], header[0][2])
         size = k**n
-        if size > MAX_TABLE_ENTRIES:
-            raise FunctionFormatError(
-                f"table would need {size} entries, over the {MAX_TABLE_ENTRIES} limit",
-                header[0][1],
-                header[0][2],
-            )
         values = []
         last = header[2]
         for tok in itertools.islice(stream, size):

@@ -27,6 +27,7 @@ from .core import (
     UnsupportedDomainError,
     all_tuples,
     constant,
+    over_table_limit,
     projection,
     tuple_to_index,
 )
@@ -56,16 +57,12 @@ def _resolve_budget(budget: int | None) -> int:
 
 
 def table_entries(k: int, n: int) -> int:
-    """k^n, the size of one table over k and n; ValueError over MAX_TABLE_ENTRIES.
-
-    k^n exceeds the limit once n reaches the limit's bit length, so the
-    power is never computed for a larger n.
-    """
+    """k^n, the size of one table over k and n; ValueError over MAX_TABLE_ENTRIES."""
     if k < 2:
         raise ValueError(f"domain size k must be >= 2, got {k}")
     if n < 1:
         raise ValueError(f"arity n must be >= 1, got {n}")
-    if n >= MAX_TABLE_ENTRIES.bit_length() or k**n > MAX_TABLE_ENTRIES:
+    if over_table_limit(k, n):
         raise ValueError(f"table would need {k}^{n} entries, over the {MAX_TABLE_ENTRIES} limit")
     return k**n
 

@@ -458,6 +458,29 @@ def test_huge_function_space_is_refused_at_once(argv, expected, message):
     assert done.stderr == f"aritygap: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "header, entries",
+    [("3 100000000 2", "3^100000000"), ("3 100000 2", "3^100000"), ("3 20 2", "3486784401")],
+    ids=["arity-1e8", "arity-1e5", "computed"],
+)
+def test_huge_header_is_refused_at_once(header, entries):
+    # An over-limit k^n is named as a power once it is too large to compute.
+    done = subprocess.run(
+        [sys.executable, "-m", "aritygap", "analyze"],
+        input=f"{header}\n0\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limited_address_space,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"aritygap: line 1, col 1: table would need {entries} entries, "
+        "over the 100000000 limit\n"
+    )
+
+
 def test_shell_pipeline_composes():
     gen = subprocess.run(
         [sys.executable, "-m", "aritygap", "gen", "salomaa", "--k", "3"],

@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -58,6 +60,21 @@ def test_constructor_invariants():
         FiniteFunction(2, 2, 2, (0, 0, 0))
     with pytest.raises(ValueError):
         FiniteFunction(2, 2, 2, (0, 0, 0, 2))
+
+
+def test_constructor_refuses_a_huge_arity_at_once():
+    # In a child process with a timeout: computing 3^(10^8) would hang.
+    code = (
+        "from aritygap import FiniteFunction\n"
+        "try:\n"
+        "    FiniteFunction(3, 10**8, 2, ())\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout == "table would need 3^100000000 entries, over the 100000000 limit\n"
 
 
 def test_immutable():
