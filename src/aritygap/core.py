@@ -21,6 +21,7 @@ reports).  ``render`` always emits the two-line form.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import re
 from dataclasses import dataclass
@@ -120,6 +121,18 @@ class FiniteFunction:
 
     Instances are immutable and safe to share between threads.  The codomain
     carries no structure beyond equality of its elements.
+
+    The constructor validates every field and table entry.  A few internal
+    sites build functions through the private ``_valid`` instead, which skips
+    those checks, because each result is valid by construction:
+
+    - ``parse_stream``, after checking the header and every value itself;
+    - ``minors._substitute`` and ``minors.diagonal``, which gather entries of
+      an already valid table (``_substitute`` refuses an over-limit target
+      arity first);
+    - ``oracle.function_by_id``, whose entries are base-b digits, and
+      ``oracle.sampled_function``, whose entries come from ``randrange(b)``;
+      both check k, n and b first.
     """
 
     k: int
@@ -144,6 +157,14 @@ class FiniteFunction:
         for pos, v in enumerate(self.table):
             if not isinstance(v, int) or not 0 <= v < self.b:
                 raise ValueError(f"table entry {v!r} at index {pos} not in 0..{self.b - 1}")
+
+    @classmethod
+    def _valid(cls, k: int, n: int, b: int, table: tuple[int, ...]) -> FiniteFunction:
+        # The function with these fields, which the caller knows to be valid,
+        # without the per-entry checks of __post_init__.
+        f = object.__new__(cls)
+        f.__dict__.update(k=k, n=n, b=b, table=table)
+        return f
 
     @property
     def size(self) -> int:
@@ -186,60 +207,71 @@ def from_function(k: int, n: int, b: int, fn: Callable[[tuple[int, ...]], int]) 
 _TOKEN = re.compile(r"\S+")
 
 
-def _tokens(text: str) -> Iterator[tuple[str, int, int]]:
-    # ';' acts as a line separator so the compact one-line form parses too.
+def parse_stream(text: str) -> list[FiniteFunction]:
+    """Parse a concatenation of zero or more functions in the text format.
+
+    An error names the line and column of the first offending token.
+    """
+    # Every token in order and, for each line part holding tokens, its first
+    # token's index, its line number and its text.  ';' acts as a line
+    # separator so the compact one-line form parses too.
+    words: list[str] = []
+    firsts: list[int] = []
+    parts: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         for part in raw.split(";"):
             if part.lstrip().startswith("#"):
                 break
-            for m in _TOKEN.finditer(part):
-                yield m.group(), lineno, m.start() + 1
+            split = part.split()
+            if split:
+                firsts.append(len(words))
+                parts.append((lineno, part))
+                words += split
 
+    def error(message: str, pos: int) -> FunctionFormatError:
+        # Located only when raised: the column of token pos within its part.
+        p = bisect.bisect_right(firsts, pos) - 1
+        lineno, part = parts[p]
+        token = next(itertools.islice(_TOKEN.finditer(part), pos - firsts[p], None))
+        return FunctionFormatError(message, lineno, token.start() + 1)
 
-def _int_token(tok: tuple[str, int, int], what: str) -> int:
-    text, line, col = tok
-    try:
-        return int(text)
-    except ValueError:
-        raise FunctionFormatError(f"{what}: {text!r} is not an integer", line, col) from None
+    def integer(pos: int, what: str) -> int:
+        try:
+            return int(words[pos])
+        except ValueError:
+            raise error(f"{what}: {words[pos]!r} is not an integer", pos) from None
 
-
-def parse_stream(text: str) -> list[FiniteFunction]:
-    """Parse a concatenation of zero or more functions in the text format."""
-    stream = _tokens(text)
     out = []
-    while True:
-        header = list(itertools.islice(stream, 3))
-        if not header:
-            return out
-        if len(header) < 3:
-            tok = header[-1]
-            raise FunctionFormatError("incomplete header, expected 'k n b'", tok[1], tok[2])
-        k = _int_token(header[0], "domain size")
-        n = _int_token(header[1], "arity")
-        b = _int_token(header[2], "codomain size")
+    pos = 0
+    while pos < len(words):
+        if len(words) - pos < 3:
+            raise error("incomplete header, expected 'k n b'", len(words) - 1)
+        k = integer(pos, "domain size")
+        n = integer(pos + 1, "arity")
+        b = integer(pos + 2, "codomain size")
         if k < 2 or n < 1 or b < 2:
-            raise FunctionFormatError(
-                f"invalid header 'k n b' = '{k} {n} {b}' (need k >= 2, n >= 1, b >= 2)",
-                header[0][1],
-                header[0][2],
+            raise error(
+                f"invalid header 'k n b' = '{k} {n} {b}' (need k >= 2, n >= 1, b >= 2)", pos
             )
         if over_table_limit(k, n):
-            raise FunctionFormatError(_over_limit_message(k, n), header[0][1], header[0][2])
+            raise error(_over_limit_message(k, n), pos)
         size = k**n
-        values = []
-        last = header[2]
-        for tok in itertools.islice(stream, size):
-            v = _int_token(tok, "table value")
-            if not 0 <= v < b:
-                raise FunctionFormatError(f"value {v} not in 0..{b - 1}", tok[1], tok[2])
-            values.append(v)
-            last = tok
-        if len(values) != size:
-            raise FunctionFormatError(
-                f"expected {size} values, got {len(values)}", last[1], last[2]
-            )
-        out.append(FiniteFunction(k, n, b, tuple(values)))
+        lo = pos + 3
+        chunk = words[lo : lo + size]
+        try:
+            values = tuple(map(int, chunk))
+        except ValueError:
+            values = None
+        if values is None or (values and (min(values) < 0 or max(values) >= b)):
+            for at in range(lo, lo + len(chunk)):
+                v = integer(at, "table value")
+                if not 0 <= v < b:
+                    raise error(f"value {v} not in 0..{b - 1}", at)
+        if len(chunk) != size:
+            raise error(f"expected {size} values, got {len(chunk)}", lo + len(chunk) - 1)
+        out.append(FiniteFunction._valid(k, n, b, values))
+        pos = lo + size
+    return out
 
 
 def parse(text: str) -> FiniteFunction:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FiniteFunction
+from .core import FiniteFunction, _over_limit_message, over_table_limit
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,11 @@ def _sigma_mapping(k: int, m: int, n: int, sigma: tuple[int, ...]) -> tuple[int,
 
 def _substitute(g: FiniteFunction, n: int, sigma: tuple[int, ...]) -> FiniteFunction:
     # The arity-n minor of g under an already valid sigma (g.n entries in 1..n).
+    # A minor no wider than g fits the table limit because g does.
+    if n > g.n and over_table_limit(g.k, n):
+        raise ValueError(_over_limit_message(g.k, n))
     mapping = _sigma_mapping(g.k, g.n, n, sigma)
-    return FiniteFunction(g.k, n, g.b, tuple(map(g.table.__getitem__, mapping)))
+    return FiniteFunction._valid(g.k, n, g.b, tuple(map(g.table.__getitem__, mapping)))
 
 
 def simple_minor(g: FiniteFunction, sigma: MinorMap) -> FiniteFunction:
@@ -111,4 +114,4 @@ def partition_minor(f: FiniteFunction, delta: VariablePartition) -> FiniteFuncti
 def diagonal(f: FiniteFunction) -> FiniteFunction:
     """The unary function a -> f(a, ..., a)."""
     step = (f.k**f.n - 1) // (f.k - 1)  # index of (a,...,a) is a * step
-    return FiniteFunction(f.k, 1, f.b, tuple(f.table[a * step] for a in range(f.k)))
+    return FiniteFunction._valid(f.k, 1, f.b, tuple(f.table[a * step] for a in range(f.k)))

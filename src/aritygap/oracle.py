@@ -67,6 +67,13 @@ def table_entries(k: int, n: int) -> int:
     return k**n
 
 
+def _checked_size(k: int, n: int, b: int) -> int:
+    # table_entries(k, n) for a valid codomain size b.
+    if b < 2:
+        raise ValueError(f"codomain size b must be >= 2, got {b}")
+    return table_entries(k, n)
+
+
 def function_count(k: int, n: int, b: int, budget: int | None = None) -> int:
     """b^(k^n), the number of tables over k, n and b; OracleInfeasibleError
     over the budget.
@@ -74,9 +81,7 @@ def function_count(k: int, n: int, b: int, budget: int | None = None) -> int:
     The count exceeds the budget once k^n reaches the budget's bit length,
     so a count that large is named as a power, not computed.
     """
-    if b < 2:
-        raise ValueError(f"codomain size b must be >= 2, got {b}")
-    size = table_entries(k, n)
+    size = _checked_size(k, n, b)
     budget = _resolve_budget(budget)
     if size >= budget.bit_length():
         raise OracleInfeasibleError(f"{b}^{size} tables exceed the budget {budget}")
@@ -626,18 +631,19 @@ THEOREMS: dict[str, TheoremCheck] = {
 def function_by_id(k: int, n: int, b: int, ident: int) -> FiniteFunction:
     """The ident-th function in the canonical enumeration: the table read as a
     big-endian base-b numeral."""
-    size = k**n
+    size = _checked_size(k, n, b)
     table = [0] * size
     for pos in range(size - 1, -1, -1):
         ident, table[pos] = divmod(ident, b)
     if ident:
         raise ValueError("function id out of range")
-    return FiniteFunction(k, n, b, tuple(table))
+    return FiniteFunction._valid(k, n, b, tuple(table))
 
 
 def sampled_function(k: int, n: int, b: int, seed: int | None, index: int) -> FiniteFunction:
+    size = _checked_size(k, n, b)
     rng = random.Random(f"{seed}:{index}")
-    return FiniteFunction(k, n, b, _random_table(rng, k**n, b))
+    return FiniteFunction._valid(k, n, b, _random_table(rng, size, b))
 
 
 def constructed_witnesses(k: int, n: int, b: int, seed: int | None) -> list[FiniteFunction]:

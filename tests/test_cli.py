@@ -459,15 +459,21 @@ def test_huge_function_space_is_refused_at_once(argv, expected, message):
 
 
 @pytest.mark.parametrize(
-    "header, entries",
-    [("3 100000000 2", "3^100000000"), ("3 100000 2", "3^100000"), ("3 20 2", "3486784401")],
-    ids=["arity-1e8", "arity-1e5", "computed"],
+    "argv, text, message",
+    [
+        (["analyze"], "3 100000000 2\n0\n", "line 1, col 1: table would need 3^100000000 entries"),
+        (["analyze"], "3 100000 2\n0\n", "line 1, col 1: table would need 3^100000 entries"),
+        (["analyze"], "3 20 2\n0\n", "line 1, col 1: table would need 3486784401 entries"),
+        (["minor", "--sigma", "1,1", "--target-arity", "64"], XOR2_TEXT,
+         "table would need 2^64 entries"),
+    ],
+    ids=["header-arity-1e8", "header-arity-1e5", "header-computed", "wide-sigma-minor"],
 )
-def test_huge_header_is_refused_at_once(header, entries):
+def test_huge_table_is_refused_at_once(argv, text, message):
     # An over-limit k^n is named as a power once it is too large to compute.
     done = subprocess.run(
-        [sys.executable, "-m", "aritygap", "analyze"],
-        input=f"{header}\n0\n",
+        [sys.executable, "-m", "aritygap", *argv],
+        input=text,
         capture_output=True,
         text=True,
         timeout=60,
@@ -475,10 +481,7 @@ def test_huge_header_is_refused_at_once(header, entries):
     )
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr == (
-        f"aritygap: line 1, col 1: table would need {entries} entries, "
-        "over the 100000000 limit\n"
-    )
+    assert done.stderr == f"aritygap: {message}, over the 100000000 limit\n"
 
 
 def test_shell_pipeline_composes():

@@ -209,6 +209,8 @@ def test_function_by_id_roundtrip():
     assert len(set(ids)) == 16
     with pytest.raises(ValueError):
         function_by_id(2, 2, 2, 16)
+    with pytest.raises(ValueError, match="table would need 2\\^64 entries"):
+        function_by_id(2, 64, 2, 0)
 
 
 def test_verify_exhaustive_wide_arity_bound():
@@ -337,6 +339,22 @@ def test_verify_instance_filter():
     assert 0 < narrowed.checked < everything.checked
     with pytest.raises(ValueError):
         SweepSpec("T6.4ii", 2, 2, 2, "exhaustive", filter="range=3")
+
+
+@pytest.mark.parametrize(
+    "k, n, b, message",
+    [
+        (1, 2, 2, "domain size k must be >= 2"),
+        (2, 0, 2, "arity n must be >= 1"),
+        (2, 2, 1, "codomain size b must be >= 2"),
+    ],
+)
+def test_generated_tables_check_their_shape(k, n, b, message):
+    # Both build their tables without the constructor's checks.
+    with pytest.raises(ValueError, match=message):
+        function_by_id(k, n, b, 0)
+    with pytest.raises(ValueError, match=message):
+        sampled_function(k, n, b, 0, 0)
 
 
 def test_sampled_function_determinism():

@@ -20,16 +20,20 @@ from aritygap import (
     FiniteFunction,
     GapUndefinedError,
     MinorMap,
+    VariablePartition,
     arity_gap,
+    diagonal,
     essential_arity,
     essential_slots,
     gen_salomaa,
+    function_by_id,
     identification_minor,
+    partition_minor,
     restrict_to_essential,
     simple_minor,
     support_extension,
 )
-from aritygap.oracle import _partitions
+from aritygap.oracle import _partitions, sampled_function
 
 MAX_SIZE = 1024
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
@@ -132,6 +136,29 @@ def test_support_extension_matches_on_repeat_set(f):
         if has_repeat(t):
             args = tuple(t[s - 1] for s in ext.slots) if ext.slots else (0,)
             assert f.eval(t) == h.eval(args)
+
+
+@PROFILE
+@given(functions(), st.data())
+def test_trusted_sites_build_publicly_valid_functions(f, data):
+    # These sites skip the constructor's checks; the checks must still pass.
+    n = data.draw(st.integers(1, max_arity(f.k)))
+    sigma = tuple(data.draw(st.lists(st.integers(1, n), min_size=f.n, max_size=f.n)))
+    labels = data.draw(st.lists(st.integers(1, f.n), min_size=f.n, max_size=f.n))
+    blocks = [tuple(s for s in range(1, f.n + 1) if labels[s - 1] == label) for label in set(labels)]
+    results = [
+        simple_minor(f, MinorMap(f.n, n, sigma)),
+        partition_minor(f, VariablePartition(f.n, blocks)),
+        diagonal(f),
+        restrict_to_essential(f)[0],
+        function_by_id(f.k, f.n, f.b, data.draw(st.integers(0, f.b**f.size - 1))),
+        sampled_function(f.k, f.n, f.b, data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))),
+    ]
+    if f.n >= 2:
+        i, j = data.draw(st.lists(st.integers(1, f.n), min_size=2, max_size=2, unique=True))
+        results.append(identification_minor(f, i, j))
+    for g in results:
+        assert g == FiniteFunction(g.k, g.n, g.b, g.table)
 
 
 def bell(n):
