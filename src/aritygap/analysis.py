@@ -28,23 +28,6 @@ class EssentialityWitness:
 
 
 @lru_cache(maxsize=None)
-def _slot_pairs(k: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # For each slot, every index pair differing only there, ordered
-    # lexicographically by (first index, second index).  The first pair with
-    # differing table values is therefore the canonical witness.
-    size = k**n
-    per_slot = []
-    for s in strides(k, n):
-        pairs = []
-        for idx in range(size):
-            d = (idx // s) % k
-            for j in range(d + 1, k):
-                pairs.append((idx, idx + (j - d) * s))
-        per_slot.append(tuple(pairs))
-    return tuple(per_slot)
-
-
-@lru_cache(maxsize=None)
 def _repeat_flags(k: int, n: int) -> bytes:
     # flag[idx] == 1 iff the tuple has a repeated coordinate; by convention
     # every unary tuple counts as being in the repeat set.
@@ -53,46 +36,75 @@ def _repeat_flags(k: int, n: int) -> bytes:
     return bytes(1 if len(set(t)) < n else 0 for t in all_tuples(k, n))
 
 
+_RUN_CAP = 64  # entries compared by one slice
+_MIN_RUN = 16  # below this, comparing pairs one by one is faster than slicing
+
+
 @lru_cache(maxsize=None)
-def _slot_pairs_on_repeat(k: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    if n == 1 or n > k:
-        return _slot_pairs(k, n)
-    flags = _repeat_flags(k, n)
-    return tuple(
-        tuple(p for p in pairs if flags[p[0]] and flags[p[1]])
-        for pairs in _slot_pairs(k, n)
-    )
+def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    # Per slot, heads (a, b, span, step): the slot is essential (within the
+    # repeat set when on_repeat) iff some head has table[a] != table[b] or,
+    # for span > 0, table[a:a+span:step] != table[b:b+span:step].  With
+    # stride s, each block of k*s entries holds the k values of the slot; a
+    # run pairs the entries with digit 0 there with those with digit d,
+    # inside a block (step 1) or along a residue mod k*s (step k*s),
+    # whichever is longer.  Runs shorter than _MIN_RUN, and the repeat set
+    # when it is not the whole domain, list pairs instead: in each fiber of
+    # the slot, its first member in the repeat set with each later one.
+    if on_repeat and not 2 <= n <= k:
+        return _plan(k, n, False)
+    size = k**n
+    flags = _repeat_flags(k, n) if on_repeat else b"\x01" * size
+    plan = []
+    for s in strides(k, n):
+        width = k * s
+        run = max(s, size // width)
+        heads: list[tuple[int, int, int, int]] = []
+        if on_repeat or run < _MIN_RUN:
+            for a in (q + r for q in range(0, size, width) for r in range(s)):
+                fiber = [c for c in range(a, a + width, s) if flags[c]]
+                heads += [(fiber[0], c, 0, 1) for c in fiber[1:]]
+        else:
+            step = 1 if run == s else width
+            cap, length = _RUN_CAP * step, run * step
+            for lead in range(0, size, width) if step == 1 else range(s):
+                for a in range(lead, lead + length, cap):
+                    span = min(cap, lead + length - a)
+                    heads += [(a, a + d * s, span, step) for d in range(1, k)]
+        plan.append(tuple(heads))
+    return tuple(plan)
 
 
-def _essential_ids(k: int, n: int, table: Sequence[int]) -> tuple[int, ...]:
+def _essential_ids(k: int, n: int, table: Sequence[int], on_repeat=False) -> tuple[int, ...]:
     out = []
-    for slot, pairs in enumerate(_slot_pairs(k, n), start=1):
-        for a, bb in pairs:
-            if table[a] != table[bb]:
+    for slot, heads in enumerate(_plan(k, n, on_repeat), start=1):
+        for a, b, span, step in heads:
+            if table[a] != table[b] or (
+                span and table[a : a + span : step] != table[b : b + span : step]
+            ):
                 out.append(slot)
                 break
     return tuple(out)
 
 
 def _essential_ids_on_repeat(k: int, n: int, table: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for slot, pairs in enumerate(_slot_pairs_on_repeat(k, n), start=1):
-        for a, bb in pairs:
-            if table[a] != table[bb]:
-                out.append(slot)
-                break
-    return tuple(out)
+    return _essential_ids(k, n, table, True)
 
 
-def _witnesses(f: FiniteFunction, per_slot) -> dict[int, EssentialityWitness]:
+def _with_witnesses(f: FiniteFunction, on_repeat: bool) -> dict[int, EssentialityWitness]:
+    # Walks the index pairs in order only for the slots found essential.
+    k, n, table = f.k, f.n, f.table
+    flags = _repeat_flags(k, n) if on_repeat else b"\x01" * f.size
     found = {}
-    for slot, pairs in enumerate(per_slot, start=1):
-        for a, bb in pairs:
-            if f.table[a] != f.table[bb]:
-                found[slot] = EssentialityWitness(
-                    slot, index_to_tuple(f.k, f.n, a), index_to_tuple(f.k, f.n, bb)
-                )
-                break
+    for slot in _essential_ids(k, n, table, on_repeat):
+        s = k ** (n - slot)
+        found[slot] = next(
+            EssentialityWitness(slot, index_to_tuple(k, n, a), index_to_tuple(k, n, b))
+            for a in range(f.size)
+            if flags[a]
+            for b in range(a + s, a + (k - a // s % k) * s, s)
+            if flags[b] and table[a] != table[b]
+        )
     return found
 
 
@@ -102,12 +114,12 @@ def essential_slots(f: FiniteFunction) -> dict[int, EssentialityWitness]:
     Witnesses are searched per slot in lexicographic order of the index pair,
     so outputs are reproducible.
     """
-    return _witnesses(f, _slot_pairs(f.k, f.n))
+    return _with_witnesses(f, False)
 
 
 def essential_slots_on_diagonal(f: FiniteFunction) -> dict[int, EssentialityWitness]:
     """Like essential_slots, but both witness tuples must contain a repeat."""
-    return _witnesses(f, _slot_pairs_on_repeat(f.k, f.n))
+    return _with_witnesses(f, True)
 
 
 def essential_arity(f: FiniteFunction) -> int:

@@ -268,7 +268,7 @@ def classify_pseudo_boolean(f: FiniteFunction) -> Classification:
     if len(values) == 2:
         v0 = g.table[0]
         v1 = (values - {v0}).pop()
-        h = FiniteFunction(2, n, 2, tuple(0 if v == v0 else 1 for v in g.table))
+        h = FiniteFunction._valid(2, n, 2, tuple(0 if v == v0 else 1 for v in g.table))
         decomposition = ((v0, v1), h)
         inner = classify_boolean(h)
         return Classification(

@@ -132,7 +132,9 @@ class FiniteFunction:
       arity first);
     - ``oracle.function_by_id``, whose entries are base-b digits, and
       ``oracle.sampled_function``, whose entries come from ``randrange(b)``;
-      both check k, n and b first.
+      both check k, n and b first;
+    - ``classify.classify_pseudo_boolean``, whose table ``h`` relabels the
+      two values of a valid table over k = 2 as 0 and 1.
     """
 
     k: int

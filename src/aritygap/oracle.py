@@ -14,7 +14,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from multiprocessing import Pool
 from typing import Callable, Sequence
 
@@ -184,6 +184,7 @@ def gen_essentially_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFu
     For n > k the repeat set is the whole domain, so this is also the general
     form of a quasi-m-ary function there.
     """
+    table_entries(k, n)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     rng = random.Random(seed)
@@ -207,6 +208,7 @@ def gen_quasi_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFunction
     and a binary function can never be quasi-binary; both impossibilities are
     rejected up front.
     """
+    table_entries(k, n)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     if m < n and n > k:
@@ -239,6 +241,7 @@ def gen_quasi_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFunction
 def gen_oddsupp_determined(k: int, n: int, b: int, seed: int) -> FiniteFunction:
     """A function whose restriction to the repeat set factors through oddsupp
     via a nonconstant map, with quasi-arity n; repeat-free entries are random."""
+    size = table_entries(k, n)
     if n < 4:
         raise ValueError(f"need arity >= 4, got {n}")
     reach = reachable_oddsupp_masks(k, n, restricted=True)
@@ -253,7 +256,7 @@ def gen_oddsupp_determined(k: int, n: int, b: int, seed: int) -> FiniteFunction:
             continue
         table = [
             star[masks[idx]] if flags[idx] else rng.randrange(b)
-            for idx in range(k**n)
+            for idx in range(size)
         ]
         f = FiniteFunction(k, n, b, tuple(table))
         if quasi_arity(f) == n:
@@ -673,26 +676,13 @@ def constructed_witnesses(k: int, n: int, b: int, seed: int | None) -> list[Fini
     return out
 
 
-_WORKER_STATE: dict = {}
-
-
-def _sweep_init(theorem, k, n, b, mode, seed, instance_filter):
-    _WORKER_STATE.update(
-        theorem=theorem, k=k, n=n, b=b, mode=mode, seed=seed, filter=instance_filter
-    )
-
-
-def _sweep_range(bounds: tuple[int, int]) -> tuple[int, list[tuple[int, ...]]]:
-    s = _WORKER_STATE
-    check = THEOREMS[s["theorem"]]
-    keep = parse_instance_filter(s["filter"]) if s["filter"] else None
+def _check_each(spec: SweepSpec, functions) -> tuple[int, list[tuple[int, ...]]]:
+    # How many of the functions the check applied to, and the failing tables.
+    check = THEOREMS[spec.theorem]
+    keep = parse_instance_filter(spec.filter) if spec.filter else None
     checked = 0
     failures = []
-    for i in range(*bounds):
-        if s["mode"] == "exhaustive":
-            f = function_by_id(s["k"], s["n"], s["b"], i)
-        else:
-            f = sampled_function(s["k"], s["n"], s["b"], s["seed"], i)
+    for f in functions:
         if keep is not None and not keep(f):
             continue
         verdict = check.predicate(f)
@@ -702,6 +692,14 @@ def _sweep_range(bounds: tuple[int, int]) -> tuple[int, list[tuple[int, ...]]]:
         if not verdict:
             failures.append(f.table)
     return checked, failures
+
+
+def _sweep_range(spec: SweepSpec, bounds: tuple[int, int]) -> tuple[int, list[tuple[int, ...]]]:
+    if spec.mode == "exhaustive":
+        make = partial(function_by_id, spec.k, spec.n, spec.b)
+    else:
+        make = partial(sampled_function, spec.k, spec.n, spec.b, spec.seed)
+    return _check_each(spec, map(make, range(*bounds)))
 
 
 def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> VerificationReport:
@@ -733,30 +731,17 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
         total = spec.samples
         extras = constructed_witnesses(spec.k, spec.n, spec.b, spec.seed)
 
-    checked = 0
-    failure_tables: list[tuple[int, ...]] = []
-    init_args = (spec.theorem, spec.k, spec.n, spec.b, spec.mode, spec.seed, spec.filter)
-    _sweep_init(*init_args)
+    sweep = partial(_sweep_range, spec)
     if jobs > 1 and total > 0:
         chunk = max(1, total // (jobs * 4))
         bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        with Pool(jobs, initializer=_sweep_init, initargs=init_args) as pool:
-            for part_checked, part_failures in pool.map(_sweep_range, bounds):
-                checked += part_checked
-                failure_tables.extend(part_failures)
+        with Pool(jobs) as pool:
+            parts = pool.map(sweep, bounds)
     else:
-        checked, failure_tables = _sweep_range((0, total))
-
-    keep = parse_instance_filter(spec.filter) if spec.filter else None
-    for f in extras:
-        if keep is not None and not keep(f):
-            continue
-        verdict = check.predicate(f)
-        if verdict is None:
-            continue
-        checked += 1
-        if not verdict:
-            failure_tables.append(f.table)
+        parts = [sweep((0, total))]
+    parts.append(_check_each(spec, extras))
+    checked = sum(part_checked for part_checked, _ in parts)
+    failure_tables = [t for _, part_failures in parts for t in part_failures]
 
     failures = tuple(
         FiniteFunction(spec.k, spec.n, spec.b, t) for t in sorted(set(failure_tables))

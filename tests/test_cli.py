@@ -291,9 +291,6 @@ def test_verify_rejects_nonpositive_jobs(monkeypatch, capsys):
 class InlinePool:
     """Stands in for multiprocessing.Pool: runs the chunks in this process."""
 
-    def __init__(self, initializer, initargs):
-        initializer(*initargs)
-
     def __enter__(self):
         return self
 
@@ -309,9 +306,9 @@ def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
 
     sizes = []
 
-    def pool(processes, initializer, initargs):
+    def pool(processes):
         sizes.append(processes)
-        return InlinePool(initializer, initargs)
+        return InlinePool()
 
     argv = ["verify", "--theorem", "T4.1", "--k", "2", "--n", "3", "--b", "2",
             "--exhaustive", "--jobs", "64"]
@@ -432,6 +429,10 @@ def _limited_address_space():
         (["verify", "--theorem", "T4.1", "--k", "3", "--n", "12", "--b", "2",
           "--exhaustive"], 1,
          "2^531441 tables exceed the budget 10000000; use sampling"),
+        (["gen", "quasi", "--k", "2", "--n", "40", "--b", "2", "--m", "40"], 2,
+         "table would need 2^40 entries, over the 100000000 limit"),
+        (["gen", "oddsupp", "--k", "2", "--n", "40", "--b", "2"], 2,
+         "table would need 2^40 entries, over the 100000000 limit"),
     ],
     ids=[
         "enumerate-wide-table",
@@ -439,6 +440,8 @@ def _limited_address_space():
         "verify-sampled-wide-table",
         "verify-exhaustive-wide-table",
         "verify-exhaustive-over-budget",
+        "gen-quasi-wide-table",
+        "gen-oddsupp-wide-table",
     ],
 )
 def test_huge_function_space_is_refused_at_once(argv, expected, message):
@@ -482,6 +485,22 @@ def test_huge_table_is_refused_at_once(argv, text, message):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == f"aritygap: {message}, over the 100000000 limit\n"
+
+
+def test_constant_table_scan_stays_small():
+    # Deciding that no slot of a constant (2,20) table is essential must not
+    # hold a structure per index pair: that needs more than 1 GiB.
+    done = subprocess.run(
+        [sys.executable, "-m", "aritygap", "analyze"],
+        input="2 20 2\n" + "0 " * 2**20 + "\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limited_address_space,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "aritygap: arity gap needs >= 2 essential slots, got 0\n"
 
 
 def test_shell_pipeline_composes():

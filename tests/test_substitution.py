@@ -22,6 +22,7 @@ from aritygap import (
     MinorMap,
     VariablePartition,
     arity_gap,
+    classify_pseudo_boolean,
     diagonal,
     essential_arity,
     essential_slots,
@@ -157,6 +158,10 @@ def test_trusted_sites_build_publicly_valid_functions(f, data):
     if f.n >= 2:
         i, j = data.draw(st.lists(st.integers(1, f.n), min_size=2, max_size=2, unique=True))
         results.append(identification_minor(f, i, j))
+    if f.k == 2 and essential_arity(f) >= 2:
+        decomposition = classify_pseudo_boolean(f).decomposition
+        if decomposition is not None:
+            results.append(decomposition[1])
     for g in results:
         assert g == FiniteFunction(g.k, g.n, g.b, g.table)
 
