@@ -41,11 +41,11 @@ _MIN_RUN = 16  # below this, comparing pairs one by one is faster than slicing
 
 
 @lru_cache(maxsize=None)
-def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
-    # Per slot, heads (a, b, span, step): the slot is essential (within the
-    # repeat set when on_repeat) iff some head has table[a] != table[b] or,
-    # for span > 0, table[a:a+span:step] != table[b:b+span:step].  With
-    # stride s, each block of k*s entries holds the k values of the slot; a
+def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    # Each slot with its heads (a, b, span, step): the slot is essential
+    # (within the repeat set when on_repeat) iff some head has table[a] !=
+    # table[b] or, for span > 0, table[a:a+span:step] != table[b:b+span:step].
+    # With stride s, each block of k*s entries holds the k values of the slot; a
     # run pairs the entries with digit 0 there with those with digit d,
     # inside a block (step 1) or along a residue mod k*s (step k*s),
     # whichever is longer.  Runs shorter than _MIN_RUN, and the repeat set
@@ -56,7 +56,7 @@ def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[tuple[int, int, int, i
     size = k**n
     flags = _repeat_flags(k, n) if on_repeat else b"\x01" * size
     plan = []
-    for s in strides(k, n):
+    for slot, s in enumerate(strides(k, n), start=1):
         width = k * s
         run = max(s, size // width)
         heads: list[tuple[int, int, int, int]] = []
@@ -71,13 +71,13 @@ def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[tuple[int, int, int, i
                 for a in range(lead, lead + length, cap):
                     span = min(cap, lead + length - a)
                     heads += [(a, a + d * s, span, step) for d in range(1, k)]
-        plan.append(tuple(heads))
+        plan.append((slot, tuple(heads)))
     return tuple(plan)
 
 
 def _essential_ids(k: int, n: int, table: Sequence[int], on_repeat=False) -> tuple[int, ...]:
     out = []
-    for slot, heads in enumerate(_plan(k, n, on_repeat), start=1):
+    for slot, heads in _plan(k, n, on_repeat):
         for a, b, span, step in heads:
             if table[a] != table[b] or (
                 span and table[a : a + span : step] != table[b : b + span : step]
