@@ -27,7 +27,7 @@ class EssentialityWitness:
     right: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _repeat_flags(k: int, n: int) -> bytes:
     # flag[idx] == 1 iff the tuple has a repeated coordinate; by convention
     # every unary tuple counts as being in the repeat set.
@@ -40,7 +40,7 @@ _RUN_CAP = 64  # entries compared by one slice
 _MIN_RUN = 16  # below this, comparing pairs one by one is faster than slicing
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     # Each slot with its heads (a, b, span, step): the slot is essential
     # (within the repeat set when on_repeat) iff some head has table[a] !=

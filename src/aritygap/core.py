@@ -90,7 +90,7 @@ def _over_limit_message(k: int, n: int) -> str:
     return f"table would need {entries} entries, over the {MAX_TABLE_ENTRIES} limit"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def strides(k: int, n: int) -> tuple[int, ...]:
     """Index weight of each slot: slot i contributes a_i * k^(n-i)."""
     return tuple(k ** (n - i) for i in range(1, n + 1))
@@ -130,6 +130,8 @@ class FiniteFunction:
     - ``minors._substitute`` and ``minors.diagonal``, which gather entries of
       an already valid table (``_substitute`` refuses an over-limit target
       arity first);
+    - ``minors.identification_minor``, which copies slices of an already
+      valid table of the same shape, or gathers its entries;
     - ``oracle.function_by_id``, whose entries are base-b digits, and
       ``oracle.sampled_function``, whose entries come from ``randrange(b)``;
       both check k, n and b first;

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
+from typing import Sequence
 
 from .core import FiniteFunction, _over_limit_message, over_table_limit
 
@@ -52,9 +54,11 @@ class VariablePartition:
             raise ValueError("blocks do not cover all slots")
 
 
-@lru_cache(maxsize=None)
-def _sigma_mapping(k: int, m: int, n: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
-    # target index -> source index under t |-> (t_sigma(1), ..., t_sigma(m)).
+# oracle_gap at n = 8 gathers through Bell(8) - 1 = 4,139 partition maps.
+@lru_cache(maxsize=8192)
+def _sigma_mapping(k: int, m: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
+    # The gather of the minor's table from g's: target index t reads the
+    # source index of (t_sigma(1), ..., t_sigma(m)).
     # Source slot l reads target slot sigma(l), so the source index of t is
     # sum_s t_s * w_s with w_s = sum of k^(m-l) over the l with sigma(l) = s;
     # expanding the target slots in order keeps the list in table-index order.
@@ -64,7 +68,7 @@ def _sigma_mapping(k: int, m: int, n: int, sigma: tuple[int, ...]) -> tuple[int,
     out = [0]
     for w in weights:
         out = [x + a * w for x in out for a in range(k)]
-    return tuple(out)
+    return itemgetter(*out)
 
 
 def _substitute(g: FiniteFunction, n: int, sigma: tuple[int, ...]) -> FiniteFunction:
@@ -72,8 +76,7 @@ def _substitute(g: FiniteFunction, n: int, sigma: tuple[int, ...]) -> FiniteFunc
     # A minor no wider than g fits the table limit because g does.
     if n > g.n and over_table_limit(g.k, n):
         raise ValueError(_over_limit_message(g.k, n))
-    mapping = _sigma_mapping(g.k, g.n, n, sigma)
-    return FiniteFunction._valid(g.k, n, g.b, tuple(map(g.table.__getitem__, mapping)))
+    return FiniteFunction._valid(g.k, n, g.b, _sigma_mapping(g.k, g.n, n, sigma)(g.table))
 
 
 def simple_minor(g: FiniteFunction, sigma: MinorMap) -> FiniteFunction:
@@ -83,20 +86,61 @@ def simple_minor(g: FiniteFunction, sigma: MinorMap) -> FiniteFunction:
     return _substitute(g, sigma.n, sigma.sigma)
 
 
-@lru_cache(maxsize=None)
-def _identification_sigma(n: int, i: int, j: int) -> tuple[int, ...]:
-    sigma = list(range(1, n + 1))
-    sigma[i - 1] = j
-    return tuple(sigma)
+def _identified(k: int, n: int, i: int, j: int, table: Sequence[int]) -> list[int]:
+    # The table with slot i fed from slot j, by slice assignment on a copy.
+    # An entry with digit a at slot i and c != a at slot j reads the entry
+    # (c - a) * k^(n-i) away.  For each (a, c) those entries form arithmetic
+    # progressions over the free digits above, between and below the two
+    # slots; each slice runs along the longest of the three groups.
+    si, sj = k ** (n - i), k ** (n - j)
+    out = list(table)
+    if n == 2:  # no free digits: row or column a of the result is the diagonal
+        for a in range(k):
+            out[a * si : a * si + k * sj : sj] = table[:: k + 1]
+        return out
+    hi, lo = (si, sj) if si > sj else (sj, si)
+    # (count, step) of each group of free digits (above, between, below the
+    # two slots), the longest last.
+    (c1, s1), (c2, s2), (run, step) = sorted(
+        ((k**n // (k * hi), k * hi), (hi // (k * lo), k * lo), (lo, 1))
+    )
+    span = run * step
+    offsets = [x + y for x in range(0, c1 * s1, s1) for y in range(0, c2 * s2, s2)]
+    for a in range(k):
+        for c in range(k):
+            if a != c:
+                shift, base = (c - a) * si, a * si + c * sj
+                for o in offsets:
+                    y = base + o
+                    out[y : y + span : step] = table[y + shift : y + shift + span : step]
+    return out
+
+
+_GATHERED = 1024  # up to this many entries, a cached gather beats slicing
+
+
+@lru_cache(maxsize=512)
+def _identification_gather(k: int, n: int, i: int, j: int) -> itemgetter:
+    return itemgetter(*_identified(k, n, i, j, range(k**n)))
 
 
 def identification_minor(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
-    """Feed slot i from slot j; arity is preserved and slot i becomes inessential."""
+    """Feed slot i from slot j; arity is preserved and slot i becomes inessential.
+
+    The table is copied and overwritten by slice assignment.  A table of at
+    most 1,024 entries is instead gathered through the same slicing applied
+    once to its indices, kept per (k, n, i, j) in a bounded cache.
+    """
     if not (1 <= i <= f.n and 1 <= j <= f.n):
         raise ValueError(f"slots ({i}, {j}) not in 1..{f.n}")
     if i == j:
         raise ValueError("identification needs two distinct slots")
-    return _substitute(f, f.n, _identification_sigma(f.n, i, j))
+    k, n = f.k, f.n
+    if f.size <= _GATHERED:
+        table = _identification_gather(k, n, i, j)(f.table)
+    else:
+        table = tuple(_identified(k, n, i, j, f.table))
+    return FiniteFunction._valid(k, n, f.b, table)
 
 
 def partition_minor(f: FiniteFunction, delta: VariablePartition) -> FiniteFunction:

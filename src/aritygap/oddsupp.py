@@ -26,7 +26,7 @@ def oddsupp_mask(t: Sequence[int]) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _oddsupp_masks(k: int, n: int) -> tuple[int, ...]:
     return tuple(oddsupp_mask(t) for t in all_tuples(k, n))
 

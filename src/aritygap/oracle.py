@@ -91,7 +91,7 @@ def function_count(k: int, n: int, b: int, budget: int | None = None) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     # Every partition of {1..n} except the finest, as its lead sigma: slot s
     # is fed from the least slot of its block.  Slot by slot, a slot either
@@ -118,8 +118,7 @@ def oracle_gap(f: FiniteFunction) -> int:
     best = -1
     seen = set()
     for sigma in _partitions(f.n):
-        mapping = _sigma_mapping(f.k, f.n, f.n, sigma)
-        table = tuple(map(f.table.__getitem__, mapping))
+        table = _sigma_mapping(f.k, f.n, f.n, sigma)(f.table)
         if table in seen:
             continue
         seen.add(table)

@@ -503,6 +503,25 @@ def test_constant_table_scan_stays_small():
     assert done.stderr == "aritygap: arity gap needs >= 2 essential slots, got 0\n"
 
 
+def test_parity_table_gap_stays_small(tmp_path):
+    # No identification minor of a parity table keeps ess - 1 slots, so
+    # arity_gap builds all 190 minors of this (2,20) table; no index map per
+    # pair may outlive its minor, as 190 maps of 2^20 entries need more than
+    # 1 GiB.
+    path = tmp_path / "parity.fn"
+    path.write_text("2 20 2\n" + " ".join(str(bin(x).count("1") % 2) for x in range(2**20)) + "\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "aritygap", "analyze", "--in", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limited_address_space,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ess=20 qa=20 essl=18 gap=2 pair=1,2\n"
+    assert done.stderr == ""
+
+
 def test_shell_pipeline_composes():
     gen = subprocess.run(
         [sys.executable, "-m", "aritygap", "gen", "salomaa", "--k", "3"],

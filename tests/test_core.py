@@ -2,6 +2,7 @@ import itertools
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +162,11 @@ def test_tuples_iteration_order():
         (0, 0, 2),
         (0, 1, 0),
     ]
+
+
+def test_every_cache_is_bounded():
+    # A cache keyed by shape or pair that never evicts grows with every k
+    # and n a process meets.
+    src = Path(__file__).resolve().parents[1] / "src" / "aritygap"
+    unbounded = [p.name for p in sorted(src.glob("*.py")) if "maxsize=None" in p.read_text()]
+    assert unbounded == []
