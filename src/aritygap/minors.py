@@ -54,9 +54,7 @@ class VariablePartition:
             raise ValueError("blocks do not cover all slots")
 
 
-# oracle_gap at n = 8 gathers through Bell(8) - 1 = 4,139 partition maps.
-@lru_cache(maxsize=8192)
-def _sigma_mapping(k: int, m: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
+def _sigma_gather(k: int, m: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
     # The gather of the minor's table from g's: target index t reads the
     # source index of (t_sigma(1), ..., t_sigma(m)).
     # Source slot l reads target slot sigma(l), so the source index of t is
@@ -69,6 +67,18 @@ def _sigma_mapping(k: int, m: int, n: int, sigma: tuple[int, ...]) -> itemgetter
     for w in weights:
         out = [x + a * w for x in out for a in range(k)]
     return itemgetter(*out)
+
+
+# oracle_gap at n = 8 gathers through Bell(8) - 1 = 4,139 partition maps.
+_cached_sigma_gather = lru_cache(maxsize=8192)(_sigma_gather)
+_CACHED_MAP = 1024  # maps with more entries are rebuilt on every call
+
+
+def _sigma_mapping(k: int, m: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
+    # Only small maps are kept, so the cache holds at most 8,192 * 1,024
+    # entries; a large table's map is used once and dropped with the call.
+    build = _cached_sigma_gather if k**n <= _CACHED_MAP else _sigma_gather
+    return build(k, m, n, sigma)
 
 
 def _substitute(g: FiniteFunction, n: int, sigma: tuple[int, ...]) -> FiniteFunction:
@@ -94,10 +104,6 @@ def _identified(k: int, n: int, i: int, j: int, table: Sequence[int]) -> list[in
     # slots; each slice runs along the longest of the three groups.
     si, sj = k ** (n - i), k ** (n - j)
     out = list(table)
-    if n == 2:  # no free digits: row or column a of the result is the diagonal
-        for a in range(k):
-            out[a * si : a * si + k * sj : sj] = table[:: k + 1]
-        return out
     hi, lo = (si, sj) if si > sj else (sj, si)
     # (count, step) of each group of free digits (above, between, below the
     # two slots), the longest last.
@@ -116,31 +122,18 @@ def _identified(k: int, n: int, i: int, j: int, table: Sequence[int]) -> list[in
     return out
 
 
-_GATHERED = 1024  # up to this many entries, a cached gather beats slicing
-
-
-@lru_cache(maxsize=512)
-def _identification_gather(k: int, n: int, i: int, j: int) -> itemgetter:
-    return itemgetter(*_identified(k, n, i, j, range(k**n)))
-
-
 def identification_minor(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
     """Feed slot i from slot j; arity is preserved and slot i becomes inessential.
 
-    The table is copied and overwritten by slice assignment.  A table of at
-    most 1,024 entries is instead gathered through the same slicing applied
-    once to its indices, kept per (k, n, i, j) in a bounded cache.
+    The table is copied and overwritten by slice assignment; no index map
+    is built or kept.
     """
     if not (1 <= i <= f.n and 1 <= j <= f.n):
         raise ValueError(f"slots ({i}, {j}) not in 1..{f.n}")
     if i == j:
         raise ValueError("identification needs two distinct slots")
     k, n = f.k, f.n
-    if f.size <= _GATHERED:
-        table = _identification_gather(k, n, i, j)(f.table)
-    else:
-        table = tuple(_identified(k, n, i, j, f.table))
-    return FiniteFunction._valid(k, n, f.b, table)
+    return FiniteFunction._valid(k, n, f.b, tuple(_identified(k, n, i, j, f.table)))
 
 
 def partition_minor(f: FiniteFunction, delta: VariablePartition) -> FiniteFunction:

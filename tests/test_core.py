@@ -1,11 +1,16 @@
+import importlib
 import itertools
+import pkgutil
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import aritygap
+from aritygap import minors
 from aritygap import (
     FiniteFunction,
     FunctionFormatError,
@@ -15,6 +20,7 @@ from aritygap import (
     parse_stream,
     render,
     render_line,
+    restrict_to_essential,
     tuple_to_index,
 )
 
@@ -164,9 +170,44 @@ def test_tuples_iteration_order():
     ]
 
 
+def _caches():
+    # Every lru_cache wrapper at module or class level in the package.
+    for info in pkgutil.iter_modules(aritygap.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"aritygap.{info.name}")
+        for name, obj in vars(module).items():
+            members = vars(obj).items() if isinstance(obj, type) else ()
+            for label, fn in ((name, obj), *((f"{name}.{a}", v) for a, v in members)):
+                if callable(getattr(fn, "cache_info", None)):
+                    yield f"{info.name}.{label}", fn
+
+
 def test_every_cache_is_bounded():
     # A cache keyed by shape or pair that never evicts grows with every k
     # and n a process meets.
+    caches = dict(_caches())
+    assert {"minors._cached_sigma_gather", "analysis._plan", "oracle._partitions"} <= set(caches)
+    assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
+    # Caches out of reach of the walk above (nested or decorated later).
+    unbounded = re.compile(r"maxsize=None|lru_cache\(\s*None|functools\.cache\b|@cache\b|import[^\n]*\bcache\b")
     src = Path(__file__).resolve().parents[1] / "src" / "aritygap"
-    unbounded = [p.name for p in sorted(src.glob("*.py")) if "maxsize=None" in p.read_text()]
-    assert unbounded == []
+    assert [p.name for p in sorted(src.glob("*.py")) if unbounded.search(p.read_text())] == []
+
+
+def test_large_index_maps_are_not_kept():
+    # The map of a restricted table has k^m entries; keeping one per
+    # essential-slot set would let a stream of large tables fill memory.
+    cached = minors._cached_sigma_gather
+    # Parity of all slots but the first: every other slot is essential.
+    small, large = (
+        FiniteFunction(2, n, 2, tuple(bin(x).count("1") % 2 for x in range(2 ** (n - 1))) * 2)
+        for n in (5, 12)
+    )
+    for f, looked_up in ((small, 1), (large, 0)):
+        before = cached.cache_info()
+        g, slots = restrict_to_essential(f)
+        assert slots == tuple(range(2, f.n + 1))
+        assert g.table == f.table[: 2 ** (f.n - 1)]
+        after = cached.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == looked_up

@@ -2,13 +2,12 @@
 
 `identification_minor(f, i, j)` copies f's table and overwrites it by slice
 assignment, each slice running along the longest of the three groups of free
-digits: above, between or below the two slots (at arity 2, with no free
-digits, along the second slot).  Tables of at most 1,024 entries are
-gathered through the same slicing applied to their indices.  The shapes
-below reach both paths, k from 2 to 5 and tables of up to 4,096 entries; the
-fixed pairs make each group the longest once and come in both orders.  Every minor is checked against a table built from
-`FiniteFunction.eval` alone.  Runs are derandomized, so the suite stays
-deterministic.
+digits: above, between or below the two slots.  At arity 2 every group has
+one member, so each slice is a single entry.  The shapes below take k from 2
+to 5 and tables of up to 4,096 entries; the fixed pairs make each group the
+longest once and come in both orders.  Every minor is checked against a
+table built from `FiniteFunction.eval` alone.  Runs are derandomized, so the
+suite stays deterministic.
 """
 
 import itertools
