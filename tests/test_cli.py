@@ -560,6 +560,26 @@ MALFORMED_INPUTS = (
     "compact-bad-value",
     "over-limit-header",
 )
+# One sampled sweep per registered theorem on a shape where its arity
+# hypothesis holds, and two where it fails (so checked is 0):
+# name -> (k, n, b, samples).
+VERIFY_SHAPES = {
+    "T3.5i": (3, 3, 2, 300),
+    "T3.5ii": (2, 2, 3, 300),
+    "SWIER": (3, 4, 3, 200),
+    "L3.4": (3, 3, 2, 300),
+    "P4.2": (2, 2, 3, 300),
+    "T4.1": (2, 3, 2, 300),
+    "T4.3": (4, 4, 2, 100),
+    "T4.4": (2, 3, 2, 300),
+    "T5.1": (2, 3, 3, 300),
+    "L5.2": (2, 4, 3, 300),
+    "T6.1": (4, 4, 2, 100),
+    "T6.4ii": (2, 2, 3, 300),
+    "T6.4iii": (2, 3, 2, 300),
+    "T4.1-arity": (3, 3, 2, 300),
+    "T6.4iii-arity": (3, 4, 2, 300),
+}
 # name -> (argv, input files fed to stdin in order, exit code); the expected
 # stdout is tests/golden/<name>.out, and for a nonzero exit code the expected
 # stderr is tests/golden/<name>.err and stdout is empty
@@ -573,6 +593,15 @@ GOLDEN_CASES = {
         (),
         0,
     ),
+    **{
+        f"verify-{name}": (
+            ["verify", "--theorem", name.split("-")[0], "--k", str(k), "--n", str(n),
+             "--b", str(b), "--samples", str(samples), "--seed", "3"],
+            (),
+            0,
+        )
+        for name, (k, n, b, samples) in VERIFY_SHAPES.items()
+    },
     "minor-identify": (["minor", "--identify", "2,1"], ANALYZE_INPUTS, 0),
     "minor-sigma": (["minor", "--sigma", "3,1,3", "--target-arity", "4"], ("ternary",), 0),
     "minor-diagonal": (["minor", "--diagonal"], ANALYZE_INPUTS, 0),

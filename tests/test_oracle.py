@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -26,6 +27,7 @@ from aritygap import (
     oracle_gap,
     oracle_quasi_arity,
     quasi_arity,
+    render,
     render_report,
     simple_minor,
     verify,
@@ -198,6 +200,61 @@ def test_generators_are_deterministic():
     assert gen_quasi_m_ary(3, 3, 2, 1, seed=9) == gen_quasi_m_ary(3, 3, 2, 1, seed=9)
     assert gen_oddsupp_determined(3, 4, 2, seed=9) == gen_oddsupp_determined(3, 4, 2, seed=9)
     assert gen_ternary_pattern(3, (0, 1, 1), seed=9) == gen_ternary_pattern(3, (0, 1, 1), seed=9)
+
+
+# Each case runs one generator on seeds 0..9; the digest is the SHA-256 of the
+# rendered outputs in order, with "error: <message>" for a refused seed.
+GENERATOR_CASES = {
+    "essentially-3-4-2-m2": (lambda s: gen_essentially_m_ary(3, 4, 2, 2, s)),
+    "quasi-4-4-3-m2": (lambda s: gen_quasi_m_ary(4, 4, 3, 2, s)),
+    "quasi-3-3-2-m0": (lambda s: gen_quasi_m_ary(3, 3, 2, 0, s)),
+    "quasi-3-3-2-m1": (lambda s: gen_quasi_m_ary(3, 3, 2, 1, s)),
+    "quasi-3-3-3-m3": (lambda s: gen_quasi_m_ary(3, 3, 3, 3, s)),
+    "quasi-2-4-2-m4": (lambda s: gen_quasi_m_ary(2, 4, 2, 4, s)),
+    "oddsupp-3-4-2": (lambda s: gen_oddsupp_determined(3, 4, 2, s)),
+    "oddsupp-2-5-3": (lambda s: gen_oddsupp_determined(2, 5, 3, s)),
+    "oddsupp-4-4-2": (lambda s: gen_oddsupp_determined(4, 4, 2, s)),
+    "ternary-3-all-patterns": (
+        lambda s: gen_ternary_pattern(3, ((s >> 2) & 1, (s >> 1) & 1, s & 1), s)
+    ),
+    "ternary-4-011-b2": (lambda s: gen_ternary_pattern(4, (0, 1, 1), s, b=2)),
+    "ternary-3-100-h": (lambda s: gen_ternary_pattern(3, (1, 0, 0), s, b=3, h_table=(0, 2, 2))),
+    "ternary-2-100": (lambda s: gen_ternary_pattern(2, (1, 0, 0), s)),
+    "semiprojection-3-3-t1": (lambda s: gen_semiprojection(3, 3, 1, s)),
+    "semiprojection-4-4-t3": (lambda s: gen_semiprojection(4, 4, 3, s)),
+    "semiprojection-4-2-t2": (lambda s: gen_semiprojection(4, 2, 2, s)),
+}
+GENERATOR_DIGESTS = {
+    "essentially-3-4-2-m2": "0fd0297819c360f63de2f73ab6939efdd95fdbc9bc5682b4cd1216144b15692e",
+    "oddsupp-2-5-3": "94057fd26e00892dfc8d02fc8cc8de316fcce17b1692dc5659ed2b0605999c1d",
+    "oddsupp-3-4-2": "feb4a2da9520b41692c4998894d6d06712ea7add31bb30800c04fe50da67b177",
+    "oddsupp-4-4-2": "52d88ee4737fd5d57ab9b530f254c47ed00670b714972216f6213aabdc7d3e07",
+    "quasi-2-4-2-m4": "1551e99b546245289d9d67b7d21378402b9e786e3a57f1810f63870113f704d5",
+    "quasi-3-3-2-m0": "b256c2aeaaba4f2f6edb93af00e0fb0510e2135c3a751a94289d8f6f8a738f41",
+    "quasi-3-3-2-m1": "3c10f00807a6ce650ebd9c60f19ad762f165300936ed63673861179f4cad4353",
+    "quasi-3-3-3-m3": "9067548c93b6c15e180b803427f30088098cd59374a4de2a6672f49c3e52aea2",
+    "quasi-4-4-3-m2": "1452f56efdfc0d11f9227d3096f4ff48276e8928958d8ab9f2849f799b287c67",
+    "semiprojection-3-3-t1": "dc8b768626e61325dd0157d39de92f43fae6f2dfc5a35df6c4aeb73cfe3cd201",
+    "semiprojection-4-2-t2": "8785e0f5e525cfbdac76947d39a2467714a74c79b00618373364b8e5e5b353ce",
+    "semiprojection-4-4-t3": "a9e94cf5f109e3ff061d329c1e285c2e439080684c961b27047d44867c7cca37",
+    "ternary-2-100": "20d06d8f03642c8e89316072203a81a6791c75a4d747e1f9f5780259602e99bd",
+    "ternary-3-100-h": "a549ef0118637625cc10f3c1acbb54bcc1988d87978601be5b421c180519536e",
+    "ternary-3-all-patterns": "688635f11532fad82011d07874665d23d3e77d38009c52957084af2be4f3f646",
+    "ternary-4-011-b2": "103cd99af1495557542d3ab1f03ec0094f6062f74b087cde6301339e2b98e906",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+def test_generator_outputs_are_pinned(name):
+    # The benchmark's inputs come from these generators, so a change in the
+    # order of their random draws changes its digests.
+    out = []
+    for seed in range(10):
+        try:
+            out.append(render(GENERATOR_CASES[name](seed)))
+        except ValueError as exc:
+            out.append(f"error: {exc}\n")
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == GENERATOR_DIGESTS[name]
 
 
 # --- verification sweeps -------------------------------------------------------
