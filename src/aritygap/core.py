@@ -90,6 +90,18 @@ def _over_limit_message(k: int, n: int) -> str:
     return f"table would need {entries} entries, over the {MAX_TABLE_ENTRIES} limit"
 
 
+def _check_shape(k: int, n: int, b: int) -> None:
+    # The constructor's checks of k, n and b, made before a table is built.
+    if k < 2:
+        raise ValueError(f"domain size k must be >= 2, got {k}")
+    if n < 1:
+        raise ValueError(f"arity n must be >= 1, got {n}")
+    if b < 2:
+        raise ValueError(f"codomain size b must be >= 2, got {b}")
+    if over_table_limit(k, n):
+        raise ValueError(_over_limit_message(k, n))
+
+
 @lru_cache(maxsize=256)
 def strides(k: int, n: int) -> tuple[int, ...]:
     """Index weight of each slot: slot i contributes a_i * k^(n-i)."""
@@ -145,14 +157,7 @@ class FiniteFunction:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"domain size k must be >= 2, got {self.k}")
-        if self.n < 1:
-            raise ValueError(f"arity n must be >= 1, got {self.n}")
-        if self.b < 2:
-            raise ValueError(f"codomain size b must be >= 2, got {self.b}")
-        if over_table_limit(self.k, self.n):
-            raise ValueError(_over_limit_message(self.k, self.n))
+        _check_shape(self.k, self.n, self.b)
         size = self.k**self.n
         if not isinstance(self.table, tuple):
             object.__setattr__(self, "table", tuple(self.table))
@@ -194,6 +199,7 @@ class FiniteFunction:
 
 
 def constant(k: int, n: int, b: int, value: int) -> FiniteFunction:
+    _check_shape(k, n, b)
     return FiniteFunction(k, n, b, (value,) * (k**n))
 
 
@@ -201,10 +207,12 @@ def projection(k: int, n: int, t: int) -> FiniteFunction:
     """The operation (a1, ..., an) -> a_t, with codomain identified with the domain."""
     if not 1 <= t <= n:
         raise ValueError(f"projection slot {t} not in 1..{n}")
+    _check_shape(k, n, k)
     return FiniteFunction(k, n, k, tuple(tt[t - 1] for tt in all_tuples(k, n)))
 
 
 def from_function(k: int, n: int, b: int, fn: Callable[[tuple[int, ...]], int]) -> FiniteFunction:
+    _check_shape(k, n, b)
     return FiniteFunction(k, n, b, tuple(fn(t) for t in all_tuples(k, n)))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -25,6 +26,7 @@ from .core import (
     OracleInfeasibleError,
     UnsupportedCodomainError,
     UnsupportedDomainError,
+    _check_shape,
     all_tuples,
     constant,
     over_table_limit,
@@ -172,6 +174,7 @@ def gen_salomaa(k: int) -> FiniteFunction:
     """
     if k < 2:
         raise ValueError(f"domain size must be >= 2, got {k}")
+    _check_shape(k, k, k)
     table = [0] * k**k
     table[tuple_to_index(k, tuple(range(k)))] = 1
     return FiniteFunction(k, k, k, tuple(table))
@@ -367,7 +370,7 @@ class SweepSpec:
 def parse_instance_filter(text: str) -> Callable[[FiniteFunction], bool]:
     """Predicate for `gap=G`, `qa=M` or `ess=E` filter expressions."""
     key, _, value = text.partition("=")
-    if key not in ("gap", "qa", "ess") or not value.lstrip("-").isdigit():
+    if key not in ("gap", "qa", "ess") or not re.fullmatch(r"-?[0-9]+", value):
         raise ValueError(f"unknown filter {text!r}, expected gap=G, qa=M or ess=E")
     want = int(value)
     if key == "qa":

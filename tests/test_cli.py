@@ -226,6 +226,19 @@ def test_enumerate_bad_filter(monkeypatch, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["qa=--1", "gap=\u00b2", "ess=1-", "gap="])
+def test_enumerate_malformed_filter_number(text, monkeypatch, capsys):
+    # Each passed a looser digit test and then failed inside int().
+    code, out, err = run_cli(
+        ["enumerate", "--k", "2", "--n", "2", "--b", "2", "--filter", text],
+        "",
+        monkeypatch,
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"aritygap: unknown filter {text!r}, expected gap=G, qa=M or ess=E\n"
+
+
 def test_enumerate_has_no_jobs_flag(monkeypatch, capsys):
     assert main(["enumerate", "--k", "2", "--n", "1", "--b", "2", "--jobs", "2"]) == 2
 
@@ -433,6 +446,10 @@ def _limited_address_space():
          "table would need 2^40 entries, over the 100000000 limit"),
         (["gen", "oddsupp", "--k", "2", "--n", "40", "--b", "2"], 2,
          "table would need 2^40 entries, over the 100000000 limit"),
+        (["gen", "salomaa", "--k", "9"], 2,
+         "table would need 387420489 entries, over the 100000000 limit"),
+        (["gen", "salomaa", "--k", "40"], 2,
+         "table would need 40^40 entries, over the 100000000 limit"),
     ],
     ids=[
         "enumerate-wide-table",
@@ -442,6 +459,8 @@ def _limited_address_space():
         "verify-exhaustive-over-budget",
         "gen-quasi-wide-table",
         "gen-oddsupp-wide-table",
+        "gen-salomaa-computed",
+        "gen-salomaa-power",
     ],
 )
 def test_huge_function_space_is_refused_at_once(argv, expected, message):
@@ -459,6 +478,43 @@ def test_huge_function_space_is_refused_at_once(argv, expected, message):
     assert done.returncode == expected
     assert done.stdout == ""
     assert done.stderr == f"aritygap: {message}\n"
+
+
+def test_huge_library_table_is_refused_at_once():
+    # The constructors refuse an over-limit shape before building its table,
+    # which would not fit in the child's 1 GiB of address space.
+    script = (
+        "from aritygap import constant, from_function, gen_salomaa, projection\n"
+        "for make in (lambda: projection(10, 9, 1), lambda: constant(2, 40, 2, 0),\n"
+        "             lambda: from_function(3, 20, 2, sum), lambda: gen_salomaa(9)):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limited_address_space,
+    )
+    assert done.stderr == ""
+    limit = "entries, over the 100000000 limit"
+    assert done.stdout.splitlines() == [
+        f"table would need 1000000000 {limit}",
+        f"table would need 2^40 {limit}",
+        f"table would need 3486784401 {limit}",
+        f"table would need 387420489 {limit}",
+    ]
+
+
+def test_gen_salomaa_rejects_small_domain(monkeypatch, capsys):
+    assert run_cli(["gen", "salomaa", "--k", "1"], "", monkeypatch, capsys) == (
+        2,
+        "",
+        "aritygap: domain size must be >= 2, got 1\n",
+    )
 
 
 @pytest.mark.parametrize(
