@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     FiniteFunction,
@@ -34,6 +35,16 @@ def _repeat_flags(k: int, n: int) -> bytes:
     if n == 1 or n > k:
         return b"\x01" * (k**n)
     return bytes(1 if len(set(t)) < n else 0 for t in all_tuples(k, n))
+
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _repeat_set(k: int, n: int, items: Iterable, off: bool = False) -> Iterator:
+    # The items, one per table index in index order, whose tuple has a
+    # repeated coordinate, or with off those whose tuple is repeat-free.
+    flags = _repeat_flags(k, n)
+    return compress(items, flags.translate(_FLIP) if off else flags)
 
 
 _RUN_CAP = 64  # entries compared by one slice
@@ -87,10 +98,6 @@ def _essential_ids(k: int, n: int, table: Sequence[int], on_repeat=False) -> tup
     return tuple(out)
 
 
-def _essential_ids_on_repeat(k: int, n: int, table: Sequence[int]) -> tuple[int, ...]:
-    return _essential_ids(k, n, table, True)
-
-
 def _with_witnesses(f: FiniteFunction, on_repeat: bool) -> dict[int, EssentialityWitness]:
     # Walks the index pairs in order only for the slots found essential.
     k, n, table = f.k, f.n, f.table
@@ -142,12 +149,10 @@ class DiagonalRestriction:
         return len(set(t)) < self.f.n
 
     def indices(self) -> Iterator[int]:
-        flags = _repeat_flags(self.f.k, self.f.n)
-        return (idx for idx in range(self.f.size) if flags[idx])
+        return _repeat_set(self.f.k, self.f.n, range(self.f.size))
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
-        flags = _repeat_flags(self.f.k, self.f.n)
-        return (t for idx, t in enumerate(self.f.tuples()) if flags[idx])
+        return _repeat_set(self.f.k, self.f.n, self.f.tuples())
 
     @property
     def size(self) -> int:
@@ -201,7 +206,7 @@ def support_extension(f: FiniteFunction) -> SupportExtension:
     """
     if f.n == 2:
         raise UnsupportedArityError("no support extension for binary functions")
-    ids = _essential_ids_on_repeat(f.k, f.n, f.table)
+    ids = _essential_ids(f.k, f.n, f.table, on_repeat=True)
     if not ids:
         return SupportExtension(constant(f.k, 1, f.b, f.table[0]), (), True)
     return SupportExtension(_on_slots(f, ids), ids, False)
@@ -210,12 +215,7 @@ def support_extension(f: FiniteFunction) -> SupportExtension:
 def is_restriction_totally_symmetric(f: FiniteFunction) -> bool:
     """True iff f's value on the repeat set depends only on the argument multiset."""
     seen: dict[tuple[int, ...], int] = {}
-    flags = _repeat_flags(f.k, f.n)
-    for idx, t in enumerate(all_tuples(f.k, f.n)):
-        if not flags[idx]:
-            continue
-        key = tuple(sorted(t))
-        v = f.table[idx]
-        if seen.setdefault(key, v) != v:
+    for t, v in _repeat_set(f.k, f.n, zip(all_tuples(f.k, f.n), f.table)):
+        if seen.setdefault(tuple(sorted(t)), v) != v:
             return False
     return True

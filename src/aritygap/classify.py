@@ -3,7 +3,7 @@ two-valued (Boolean) family recognizer, and the pseudo-Boolean reduction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     FiniteFunction,
@@ -264,23 +264,16 @@ def classify_pseudo_boolean(f: FiniteFunction) -> Classification:
     if n < 2:
         raise GapUndefinedError(f"classification needs >= 2 essential slots, got {n}")
     values = set(g.table)
-    decomposition = None
     if len(values) == 2:
         v0 = g.table[0]
         v1 = (values - {v0}).pop()
         h = FiniteFunction._valid(2, n, 2, tuple(0 if v == v0 else 1 for v in g.table))
-        decomposition = ((v0, v1), h)
         inner = classify_boolean(h)
-        return Classification(
-            gap=inner.gap,
-            tag=inner.tag,
-            m=inner.m,
-            pattern=inner.pattern,
+        return replace(
+            inner,
             pattern_h=diagonal(g) if inner.pattern is not None else None,
-            family=inner.family,
-            family_constant=inner.family_constant,
             perm=tuple(slots[q - 1] for q in inner.perm) if inner.perm else None,
-            decomposition=decomposition,
+            decomposition=((v0, v1), h),
         )
     if n == 2 and g.table[0] == g.table[3]:
         return Classification(gap=2, tag=TAG_QUASI_N_MINUS_2, m=0)

@@ -12,12 +12,7 @@ from .core import (
     UnsupportedCodomainError,
     all_tuples,
 )
-from .analysis import (
-    _essential_ids,
-    _essential_ids_on_repeat,
-    _repeat_flags,
-    restrict_to_essential,
-)
+from .analysis import _essential_ids, _repeat_set, restrict_to_essential
 from .minors import _substitute, diagonal, identification_minor
 
 
@@ -25,15 +20,14 @@ def quasi_arity(f: FiniteFunction) -> int:
     """Minimum essential arity over all total functions agreeing with f on the
     repeat set.
 
-    Computed directly: for n = 1 it is the essential arity, for n = 2 it is 0
-    or 1 according to whether the diagonal a -> f(a, a) is constant, and for
-    n >= 3 it is the number of slots essential within the repeat set.
+    Computed directly: for n = 2 it is 0 or 1 according to whether the
+    diagonal a -> f(a, a) is constant, and otherwise it is the number of
+    slots essential within the repeat set (for n = 1 the whole domain, so
+    the essential arity).
     """
-    if f.n == 1:
-        return len(_essential_ids(f.k, f.n, f.table))
     if f.n == 2:
         return 0 if diagonal(f).is_constant() else 1
-    return len(_essential_ids_on_repeat(f.k, f.n, f.table))
+    return len(_essential_ids(f.k, f.n, f.table, on_repeat=True))
 
 
 def is_semiprojection(f: FiniteFunction) -> int | None:
@@ -45,12 +39,8 @@ def is_semiprojection(f: FiniteFunction) -> int | None:
         raise UnsupportedCodomainError(
             f"semiprojection test needs b = k, got b={f.b}, k={f.k}"
         )
-    flags = _repeat_flags(f.k, f.n)
     candidates = set(range(1, f.n + 1))
-    for idx, t in enumerate(all_tuples(f.k, f.n)):
-        if not flags[idx]:
-            continue
-        v = f.table[idx]
+    for t, v in _repeat_set(f.k, f.n, zip(all_tuples(f.k, f.n), f.table)):
         candidates = {s for s in candidates if t[s - 1] == v}
         if not candidates:
             return None
@@ -87,8 +77,7 @@ def unique_unary_support(f: FiniteFunction) -> UnarySupport:
         return UnarySupport(
             (_substitute(d, 2, (1,)), _substitute(d, 2, (2,))), (1, 2), True
         )
-    ids = _essential_ids_on_repeat(f.k, f.n, f.table)
-    t = ids[0]
+    t = _essential_ids(f.k, f.n, f.table, on_repeat=True)[0]
     return UnarySupport((_substitute(d, f.n, (t,)),), (t,), False)
 
 

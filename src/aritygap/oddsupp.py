@@ -9,7 +9,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .core import FiniteFunction, all_tuples, index_to_tuple
-from .analysis import _repeat_flags
+from .analysis import _repeat_set
 
 
 def oddsupp(t: Sequence[int]) -> frozenset[int]:
@@ -49,29 +49,23 @@ class OddsuppProfile:
 
 
 def _fiber_profile(f: FiniteFunction, restricted: bool) -> OddsuppProfile:
-    masks = _oddsupp_masks(f.k, f.n)
-    flags = _repeat_flags(f.k, f.n) if restricted else None
+    # One walk over the table.  The fiber with the least first member that
+    # holds two values becomes bad_mask at its own first conflicting entry
+    # and stays so, which makes that entry the witness's second tuple.
+    entries = zip(range(f.size), _oddsupp_masks(f.k, f.n), f.table)
+    if restricted:
+        entries = _repeat_set(f.k, f.n, entries)
     rep_idx: dict[int, int] = {}
     rep_val: dict[int, int] = {}
-    bad_mask = None
-    for idx, v in enumerate(f.table):
-        if flags is not None and not flags[idx]:
-            continue
-        m = masks[idx]
+    bad_mask = second = None
+    for idx, m, v in entries:
         if m not in rep_idx:
             rep_idx[m] = idx
             rep_val[m] = v
         elif v != rep_val[m] and (bad_mask is None or rep_idx[m] < rep_idx[bad_mask]):
-            bad_mask = m
+            bad_mask, second = m, idx
     if bad_mask is not None:
         first = rep_idx[bad_mask]
-        second = next(
-            idx
-            for idx in range(first + 1, f.size)
-            if masks[idx] == bad_mask
-            and (flags is None or flags[idx])
-            and f.table[idx] != f.table[first]
-        )
         return OddsuppProfile(
             determined=False,
             star=None,
@@ -103,7 +97,6 @@ def is_restriction_determined_by_oddsupp(f: FiniteFunction) -> OddsuppProfile:
 def reachable_oddsupp_masks(k: int, n: int, restricted: bool = False) -> tuple[int, ...]:
     """All oddsupp bitmasks realized by tuples, by direct enumeration."""
     masks = _oddsupp_masks(k, n)
-    if not restricted:
-        return tuple(sorted(set(masks)))
-    flags = _repeat_flags(k, n)
-    return tuple(sorted({m for idx, m in enumerate(masks) if flags[idx]}))
+    if restricted:
+        masks = _repeat_set(k, n, masks)
+    return tuple(sorted(set(masks)))

@@ -14,7 +14,7 @@ import os
 import random
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache, partial
 from multiprocessing import Pool
 from typing import Callable, Sequence
@@ -33,11 +33,7 @@ from .core import (
     projection,
     tuple_to_index,
 )
-from .analysis import (
-    _essential_ids,
-    _repeat_flags,
-    is_restriction_totally_symmetric,
-)
+from .analysis import _essential_ids, _repeat_set, is_restriction_totally_symmetric
 from .classify import classify_pseudo_boolean, ternary_pattern
 from .gap import arity_gap, is_semiprojection, quasi_arity
 from .minors import _sigma_mapping, _substitute, identification_minor
@@ -131,15 +127,10 @@ def oracle_gap(f: FiniteFunction) -> int:
     return ess - best
 
 
-def _offdiagonal_indices(k: int, n: int) -> tuple[int, ...]:
-    flags = _repeat_flags(k, n)
-    return tuple(idx for idx in range(k**n) if not flags[idx])
-
-
 def oracle_quasi_arity(f: FiniteFunction, budget: int | None = None) -> int:
     """Quasi-arity recomputed as the minimum essential arity over every
     completion of f's values on the repeat set."""
-    free = _offdiagonal_indices(f.k, f.n)
+    free = tuple(_repeat_set(f.k, f.n, range(f.size), off=True))
     if f.b ** len(free) > _resolve_budget(budget):
         raise OracleInfeasibleError(
             f"{f.b}^{len(free)} support completions exceed the budget"
@@ -159,11 +150,36 @@ def oracle_quasi_arity(f: FiniteFunction, budget: int | None = None) -> int:
 
 # ---------------------------------------------------------------------------
 # Generators.  All take an integer seed and are deterministic for a fixed one;
-# each retries up to GENERATOR_ATTEMPTS times before giving up.
+# each makes up to GENERATOR_ATTEMPTS attempts before giving up.
 
 
 def _random_table(rng: random.Random, size: int, b: int) -> tuple[int, ...]:
     return tuple(rng.randrange(b) for _ in range(size))
+
+
+def _first_found(what: str, attempt: Callable[[], FiniteFunction | None]) -> FiniteFunction:
+    # The first result of attempt() that is not None.
+    for _ in range(GENERATOR_ATTEMPTS):
+        f = attempt()
+        if f is not None:
+            return f
+    raise ValueError(f"no {what} found in {GENERATOR_ATTEMPTS} attempts")
+
+
+def _all_essential(f: FiniteFunction) -> bool:
+    return len(_essential_ids(f.k, f.n, f.table)) == f.n
+
+
+def _fill_repeat_free(
+    rng: random.Random, k: int, n: int, b: int, base: Sequence[int]
+) -> FiniteFunction | None:
+    # base with each repeat-free entry drawn from rng in index order, if every
+    # slot of the result is essential.
+    table = list(base)
+    for idx in _repeat_set(k, n, range(k**n), off=True):
+        table[idx] = rng.randrange(b)
+    f = FiniteFunction(k, n, b, tuple(table))
+    return f if _all_essential(f) else None
 
 
 def gen_salomaa(k: int) -> FiniteFunction:
@@ -192,13 +208,15 @@ def gen_essentially_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFu
     rng = random.Random(seed)
     if m == 0:
         return constant(k, n, b, rng.randrange(b))
-    for _ in range(GENERATOR_ATTEMPTS):
+
+    def attempt() -> FiniteFunction | None:
         slots = sorted(rng.sample(range(1, n + 1), m))
         core = _random_table(rng, k**m, b)
         if len(_essential_ids(k, m, core)) != m:
-            continue
+            return None
         return _substitute(FiniteFunction(k, m, b, core), n, tuple(slots))
-    raise ValueError(f"no essentially {m}-ary table found in {GENERATOR_ATTEMPTS} attempts")
+
+    return _first_found(f"essentially {m}-ary table", attempt)
 
 
 def gen_quasi_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFunction:
@@ -221,29 +239,22 @@ def gen_quasi_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFunction
     if n == 2 and m == 2:
         raise ValueError("binary functions have quasi-arity at most 1")
     rng = random.Random(seed)
-    free = _offdiagonal_indices(k, n)
-    for _ in range(GENERATOR_ATTEMPTS):
+
+    def attempt() -> FiniteFunction | None:
+        # An essentially n-ary g already depends on every slot; the fill
+        # leaves the repeat set, and so the quasi-arity, as it is.
         g = gen_essentially_m_ary(k, n, b, m, rng.getrandbits(32))
         if quasi_arity(g) != m:
-            continue
-        if m == n:
-            f = g
-        else:
-            table = list(g.table)
-            for idx in free:
-                table[idx] = rng.randrange(b)
-            f = FiniteFunction(k, n, b, tuple(table))
-        if len(_essential_ids(k, n, f.table)) != n:
-            continue
-        assert quasi_arity(f) == m
-        return f
-    raise ValueError(f"no quasi-{m}-ary witness found in {GENERATOR_ATTEMPTS} attempts")
+            return None
+        return g if m == n else _fill_repeat_free(rng, k, n, b, g.table)
+
+    return _first_found(f"quasi-{m}-ary witness", attempt)
 
 
 def gen_oddsupp_determined(k: int, n: int, b: int, seed: int) -> FiniteFunction:
     """A function whose restriction to the repeat set factors through oddsupp
     via a nonconstant map, with quasi-arity n; repeat-free entries are random."""
-    size = table_entries(k, n)
+    table_entries(k, n)
     if n < 4:
         raise ValueError(f"need arity >= 4, got {n}")
     reach = reachable_oddsupp_masks(k, n, restricted=True)
@@ -251,19 +262,16 @@ def gen_oddsupp_determined(k: int, n: int, b: int, seed: int) -> FiniteFunction:
         raise ValueError("fewer than two reachable oddsupp values, no nonconstant map")
     rng = random.Random(seed)
     masks = _oddsupp_masks(k, n)
-    flags = _repeat_flags(k, n)
-    for _ in range(GENERATOR_ATTEMPTS):
+
+    def attempt() -> FiniteFunction | None:
         star = {mask: rng.randrange(b) for mask in reach}
         if len(set(star.values())) < 2:
-            continue
-        table = [
-            star[masks[idx]] if flags[idx] else rng.randrange(b)
-            for idx in range(size)
-        ]
-        f = FiniteFunction(k, n, b, tuple(table))
-        if quasi_arity(f) == n:
-            return f
-    raise ValueError(f"no oddsupp-determined witness found in {GENERATOR_ATTEMPTS} attempts")
+            return None
+        # Masks off the repeat set are not in star; the fill overwrites them.
+        f = _fill_repeat_free(rng, k, n, b, [star.get(mask) for mask in masks])
+        return f if f is not None and quasi_arity(f) == n else None
+
+    return _first_found("oddsupp-determined witness", attempt)
 
 
 def gen_ternary_pattern(
@@ -286,6 +294,7 @@ def gen_ternary_pattern(
     rng = random.Random(seed)
     if b is None:
         b = k
+    _check_shape(k, 3, b)
     if h_table is None:
         if b == k:
             h_table = tuple(range(k))
@@ -295,7 +304,6 @@ def gen_ternary_pattern(
     if len(set(h_table)) < 2:
         raise ValueError("h must be nonconstant")
     i1, i2, i3 = pattern
-    free = _offdiagonal_indices(k, 3)
     base = [0] * k**3
     for idx, (a1, a2, a3) in enumerate(all_tuples(k, 3)):
         if a2 == a3:
@@ -304,16 +312,9 @@ def gen_ternary_pattern(
             base[idx] = h_table[a2 if i2 else a1]
         elif a1 == a2:
             base[idx] = h_table[a3 if i3 else a1]
-    for _ in range(GENERATOR_ATTEMPTS):
-        table = list(base)
-        for idx in free:
-            table[idx] = rng.randrange(b)
-        f = FiniteFunction(k, 3, b, tuple(table))
-        if len(_essential_ids(k, 3, f.table)) == 3:
-            return f
-    raise ValueError(
-        f"no essentially ternary function with pattern {pattern} found "
-        f"in {GENERATOR_ATTEMPTS} attempts"
+    return _first_found(
+        f"essentially ternary function with pattern {pattern}",
+        lambda: _fill_repeat_free(rng, k, 3, b, base),
     )
 
 
@@ -325,16 +326,11 @@ def gen_semiprojection(k: int, n: int, t: int, seed: int) -> FiniteFunction:
     if n > k:
         raise ValueError(f"arity {n} over a {k}-element domain only admits projections")
     rng = random.Random(seed)
-    base = projection(k, n, t)
-    free = _offdiagonal_indices(k, n)
-    for _ in range(GENERATOR_ATTEMPTS):
-        table = list(base.table)
-        for idx in free:
-            table[idx] = rng.randrange(k)
-        f = FiniteFunction(k, n, k, tuple(table))
-        if len(_essential_ids(k, n, f.table)) == n:
-            return f
-    raise ValueError(f"no essentially {n}-ary semiprojection found in {GENERATOR_ATTEMPTS} attempts")
+    base = projection(k, n, t).table
+    return _first_found(
+        f"essentially {n}-ary semiprojection",
+        lambda: _fill_repeat_free(rng, k, n, k, base),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +418,11 @@ def _gap_of(f: FiniteFunction) -> int:
 
 
 def _check_minors_constant_iff_quasi_nullary(f: FiniteFunction) -> bool | None:
-    if f.n < 2:
-        return None
     left = all(len(set(t)) == 1 for t in _all_id_minor_tables(f))
     return left == (quasi_arity(f) == 0)
 
 
 def _check_minors_unary_iff_quasi_unary(f: FiniteFunction) -> bool | None:
-    if f.n != 2 and f.n < 4:
-        return None
     left = all(
         len(_essential_ids(f.k, f.n, t)) == 1 for t in _all_id_minor_tables(f)
     )
@@ -438,8 +430,6 @@ def _check_minors_unary_iff_quasi_unary(f: FiniteFunction) -> bool | None:
 
 
 def _check_swierczkowski(f: FiniteFunction) -> bool | None:
-    if f.n < 4:
-        return None
     projections = [projection(f.k, f.n, t).table for t in range(1, f.n + 1)]
     left = all(t in projections for t in _all_id_minor_tables(f))
     return left == (is_semiprojection(f) is not None)
@@ -450,37 +440,20 @@ def _check_quasi_arity_oracle(f: FiniteFunction) -> bool | None:
 
 
 def _check_gap_low_quasi_arity(f: FiniteFunction) -> bool | None:
-    if len(_essential_ids(f.k, f.n, f.table)) != f.n or not 2 <= f.n <= f.k:
-        return None
     m = quasi_arity(f)
     if m >= f.n:
         return None
     return _gap_of(f) == f.n - m
 
 
-def _check_gap_bound_wide(f: FiniteFunction) -> bool | None:
-    if f.n <= f.k or len(_essential_ids(f.k, f.n, f.table)) != f.n:
-        return None
-    return _gap_of(f) <= 2
-
-
-def _check_gap_bound_quasi_full(f: FiniteFunction) -> bool | None:
-    if f.n <= 3 or len(_essential_ids(f.k, f.n, f.table)) != f.n:
-        return None
-    if quasi_arity(f) != f.n:
-        return None
+def _check_gap_at_most_two(f: FiniteFunction) -> bool | None:
     return _gap_of(f) <= 2
 
 
 def _check_gap_iff_quasi_arity(f: FiniteFunction) -> bool | None:
-    if f.n < 2 or len(_essential_ids(f.k, f.n, f.table)) != f.n:
-        return None
     gap = _gap_of(f)
     m_actual = quasi_arity(f)
-    for m in range(0, f.n - 2):
-        if (gap == f.n - m) != (m_actual == m):
-            return False
-    return True
+    return all((gap == f.n - m) == (m_actual == m) for m in range(f.n - 2))
 
 
 def _check_pseudo_boolean_classifier(f: FiniteFunction) -> bool | None:
@@ -491,17 +464,13 @@ def _check_pseudo_boolean_classifier(f: FiniteFunction) -> bool | None:
 
 
 def _check_large_range_gap_one(f: FiniteFunction) -> bool | None:
-    if f.n <= max(f.k, 3) or len(_essential_ids(f.k, f.n, f.table)) != f.n:
-        return None
     if len(set(f.table)) <= 2 ** (f.k - 1):
         return None
     return _gap_of(f) == 1
 
 
 def _check_symmetry_of_gap_two(f: FiniteFunction) -> bool | None:
-    if f.n <= 3 or len(_essential_ids(f.k, f.n, f.table)) != f.n:
-        return None
-    if quasi_arity(f) != f.n or _gap_of(f) != 2:
+    if _gap_of(f) != 2:
         return None
     if not is_restriction_totally_symmetric(f):
         return False
@@ -516,38 +485,38 @@ def _check_symmetry_of_gap_two(f: FiniteFunction) -> bool | None:
     return True
 
 
-def _gap_two_criterion(f: FiniteFunction) -> bool:
+def _check_gap_two_criterion(f: FiniteFunction) -> bool | None:
     m = quasi_arity(f)
-    return m == f.n - 2 or (
+    criterion = m == f.n - 2 or (
         m == f.n and is_restriction_determined_by_oddsupp(f).determined
     )
-
-
-def _check_gap_two_characterization(f: FiniteFunction) -> bool | None:
-    if f.n <= 3 or len(_essential_ids(f.k, f.n, f.table)) != f.n:
-        return None
-    return (_gap_of(f) == 2) == _gap_two_criterion(f)
-
-
-def _check_gap_two_general(f: FiniteFunction) -> bool | None:
-    if f.n < 2 or f.n == 3 or len(_essential_ids(f.k, f.n, f.table)) != f.n:
-        return None
-    return (_gap_of(f) == 2) == _gap_two_criterion(f)
+    return (_gap_of(f) == 2) == criterion
 
 
 def _check_gap_two_ternary(f: FiniteFunction) -> bool | None:
-    if f.n != 3 or len(_essential_ids(f.k, f.n, f.table)) != 3:
-        return None
     return (_gap_of(f) == 2) == (ternary_pattern(f) is not None)
 
 
 @dataclass(frozen=True)
 class TheoremCheck:
+    """A registered statement: its predicate and its hypotheses.
+
+    A sweep runs the predicate only on functions that meet the hypotheses:
+    `arity(k, n)` holds for the sweep's shape, every slot is essential when
+    `all_essential` is set, and the quasi-arity is n when `quasi_full` is
+    set.  The predicate returns None for any further case the statement
+    leaves out.
+    """
+
     id: str
     summary: str
     predicate: Callable[[FiniteFunction], bool | None]
     needs_operation: bool = False  # b = k required
     needs_two_element_domain: bool = False  # k = 2 required
+    _: KW_ONLY
+    arity: Callable[[int, int], bool] = lambda k, n: True
+    all_essential: bool = False
+    quasi_full: bool = False
 
 
 THEOREMS: dict[str, TheoremCheck] = {
@@ -557,12 +526,14 @@ THEOREMS: dict[str, TheoremCheck] = {
             "T3.5i",
             "identification minors all constant iff quasi-arity 0",
             _check_minors_constant_iff_quasi_nullary,
+            arity=lambda k, n: n >= 2,
         ),
         TheoremCheck(
             "T3.5ii",
             "identification minors all essentially unary iff quasi-arity 1 "
             "(arity 2 or at least 4)",
             _check_minors_unary_iff_quasi_unary,
+            arity=lambda k, n: n == 2 or n >= 4,
         ),
         TheoremCheck(
             "SWIER",
@@ -570,6 +541,7 @@ THEOREMS: dict[str, TheoremCheck] = {
             "(arity at least 4)",
             _check_swierczkowski,
             needs_operation=True,
+            arity=lambda k, n: n >= 4,
         ),
         TheoremCheck(
             "L3.4",
@@ -580,21 +552,30 @@ THEOREMS: dict[str, TheoremCheck] = {
             "P4.2",
             "gap is n - m for quasi-m-ary functions with m < n <= k",
             _check_gap_low_quasi_arity,
+            arity=lambda k, n: 2 <= n <= k,
+            all_essential=True,
         ),
         TheoremCheck(
             "T4.1",
             "gap at most 2 once the arity exceeds the domain size",
-            _check_gap_bound_wide,
+            _check_gap_at_most_two,
+            arity=lambda k, n: n > k,
+            all_essential=True,
         ),
         TheoremCheck(
             "T4.3",
             "gap at most 2 for quasi-n-ary functions of arity above 3",
-            _check_gap_bound_quasi_full,
+            _check_gap_at_most_two,
+            arity=lambda k, n: n > 3,
+            all_essential=True,
+            quasi_full=True,
         ),
         TheoremCheck(
             "T4.4",
             "gap n - m iff quasi-arity m, for every m <= n - 3",
             _check_gap_iff_quasi_arity,
+            arity=lambda k, n: n >= 2,
+            all_essential=True,
         ),
         TheoremCheck(
             "T5.1",
@@ -606,28 +587,39 @@ THEOREMS: dict[str, TheoremCheck] = {
             "L5.2",
             "range larger than 2^(k-1) forces gap 1 at arity above max(k, 3)",
             _check_large_range_gap_one,
+            arity=lambda k, n: n > max(k, 3),
+            all_essential=True,
         ),
         TheoremCheck(
             "T6.1",
             "gap-2 quasi-n-ary functions are symmetric on the repeat set with "
             "(n-2)-ary identification minors",
             _check_symmetry_of_gap_two,
+            arity=lambda k, n: n > 3,
+            all_essential=True,
+            quasi_full=True,
         ),
         TheoremCheck(
             "T6.3",
             "gap 2 iff quasi-arity n - 2, or n with oddsupp-determined restriction "
             "(arity above 3)",
-            _check_gap_two_characterization,
+            _check_gap_two_criterion,
+            arity=lambda k, n: n > 3,
+            all_essential=True,
         ),
         TheoremCheck(
             "T6.4ii",
             "general gap-2 criterion for arity other than 3",
-            _check_gap_two_general,
+            _check_gap_two_criterion,
+            arity=lambda k, n: n == 2 or n >= 4,
+            all_essential=True,
         ),
         TheoremCheck(
             "T6.4iii",
             "ternary gap-2 criterion via the unary selector pattern",
             _check_gap_two_ternary,
+            arity=lambda k, n: n == 3,
+            all_essential=True,
         ),
     )
 }
@@ -680,12 +672,20 @@ def constructed_witnesses(k: int, n: int, b: int, seed: int | None) -> list[Fini
 
 def _check_each(spec: SweepSpec, functions) -> tuple[int, list[tuple[int, ...]]]:
     # How many of the functions the check applied to, and the failing tables.
+    # Every function of a sweep has the spec's k and n, so the arity
+    # hypothesis is decided once, and when it fails no function is checked.
     check = THEOREMS[spec.theorem]
+    if not check.arity(spec.k, spec.n):
+        return 0, []
     keep = parse_instance_filter(spec.filter) if spec.filter else None
     checked = 0
     failures = []
     for f in functions:
         if keep is not None and not keep(f):
+            continue
+        if check.all_essential and not _all_essential(f):
+            continue
+        if check.quasi_full and quasi_arity(f) != f.n:
             continue
         verdict = check.predicate(f)
         if verdict is None:
@@ -707,8 +707,8 @@ def _sweep_range(spec: SweepSpec, bounds: tuple[int, int]) -> tuple[int, list[tu
 def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> VerificationReport:
     """Run one named check over the requested function space.
 
-    checked counts the functions the property's hypotheses applied to;
-    failures are reported sorted by table and must reproduce when replayed.
+    checked counts the functions that meet the hypotheses declared on the
+    TheoremCheck and get a verdict from its predicate; failures are reported sorted by table and must reproduce when replayed.
     `jobs` must be at least 1 and is capped at the CPU count.
     """
     if spec.theorem not in THEOREMS:

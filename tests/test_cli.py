@@ -484,9 +484,10 @@ def test_huge_library_table_is_refused_at_once():
     # The constructors refuse an over-limit shape before building its table,
     # which would not fit in the child's 1 GiB of address space.
     script = (
-        "from aritygap import constant, from_function, gen_salomaa, projection\n"
+        "from aritygap import constant, from_function, gen_salomaa, gen_ternary_pattern, projection\n"
         "for make in (lambda: projection(10, 9, 1), lambda: constant(2, 40, 2, 0),\n"
-        "             lambda: from_function(3, 20, 2, sum), lambda: gen_salomaa(9)):\n"
+        "             lambda: from_function(3, 20, 2, sum), lambda: gen_salomaa(9),\n"
+        "             lambda: gen_ternary_pattern(500, (0, 0, 0), 0)):\n"
         "    try:\n"
         "        make()\n"
         "    except ValueError as exc:\n"
@@ -506,6 +507,7 @@ def test_huge_library_table_is_refused_at_once():
         f"table would need 2^40 {limit}",
         f"table would need 3486784401 {limit}",
         f"table would need 387420489 {limit}",
+        f"table would need 125000000 {limit}",
     ]
 
 

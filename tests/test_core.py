@@ -1,3 +1,4 @@
+import ast
 import importlib
 import itertools
 import pkgutil
@@ -11,6 +12,7 @@ import pytest
 
 import aritygap
 from aritygap import minors
+from aritygap.oracle import THEOREMS
 from aritygap import (
     FiniteFunction,
     FunctionFormatError,
@@ -193,6 +195,30 @@ def test_every_cache_is_bounded():
     unbounded = re.compile(r"maxsize=None|lru_cache\(\s*None|functools\.cache\b|@cache\b|import[^\n]*\bcache\b")
     src = Path(__file__).resolve().parents[1] / "src" / "aritygap"
     assert [p.name for p in sorted(src.glob("*.py")) if unbounded.search(p.read_text())] == []
+
+
+def test_hypotheses_retries_and_repeat_flags_live_in_one_place():
+    # Theorem hypotheses are declared on TheoremCheck, the generators share
+    # one retry loop, and only analysis reads the repeat-set flags.
+    src = Path(__file__).resolve().parents[1] / "src" / "aritygap"
+    oracle = (src / "oracle.py").read_text()
+    predicates = {
+        node.name: node
+        for node in ast.parse(oracle).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_check_")
+        and node.name != "_check_each"
+    }
+    assert set(predicates) == {t.predicate.__name__ for t in THEOREMS.values()}
+    for name, node in predicates.items():
+        assert "!= f.n" not in ast.get_source_segment(oracle, node), name
+        first = node.body[0]
+        if isinstance(first, ast.If):
+            test = ast.unparse(first.test)
+            assert "f.n" not in test and "_essential_ids" not in test, name
+    sources = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    assert sum(text.count("range(GENERATOR_ATTEMPTS)") for text in sources.values()) == 1
+    assert [name for name, text in sources.items() if "_repeat_flags" in text] == ["analysis.py"]
 
 
 def test_large_index_maps_are_not_kept():

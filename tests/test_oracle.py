@@ -376,6 +376,47 @@ def test_verify_every_registered_check_sampled(theorem, k, n, b):
     assert report.theorem == theorem
 
 
+def test_related_statements_share_a_predicate():
+    assert THEOREMS["T4.1"].predicate is THEOREMS["T4.3"].predicate
+    assert THEOREMS["T6.3"].predicate is THEOREMS["T6.4ii"].predicate
+
+
+def test_declared_hypotheses_decide_what_is_checked(monkeypatch):
+    # The predicate fails any function with an inessential slot, so a
+    # function that slips past all_essential shows up as a failure.
+    shapes = []
+
+    def arity(k, n):
+        shapes.append((k, n))
+        return n >= 2
+
+    doctored = TheoremCheck(
+        "DOCTORED",
+        "every slot essential",
+        lambda f: len(essential_slots(f)) == f.n,
+        arity=arity,
+        all_essential=True,
+    )
+    monkeypatch.setitem(THEOREMS, "DOCTORED", doctored)
+    # 10 of the 16 binary and 218 of the 256 ternary Boolean functions
+    # depend on every slot; no unary shape meets the arity hypothesis.
+    for n, checked in ((1, 0), (2, 10), (3, 218)):
+        report = verify(SweepSpec("DOCTORED", 2, n, 2, "exhaustive"))
+        assert (report.checked, report.failures) == (checked, ())
+    # Decided once for the sweep and once for the (empty) witness battery.
+    assert shapes == [(2, 1)] * 2 + [(2, 2)] * 2 + [(2, 3)] * 2
+    narrowed = verify(SweepSpec("DOCTORED", 2, 2, 2, "exhaustive", filter="ess=1"))
+    assert narrowed.checked == 0
+
+    full = TheoremCheck("FULL", "quasi-arity n", lambda f: quasi_arity(f) == f.n, quasi_full=True)
+    monkeypatch.setitem(THEOREMS, "FULL", full)
+    report = verify(SweepSpec("FULL", 3, 3, 2, "sampled", samples=200, seed=4))
+    functions = [sampled_function(3, 3, 2, 4, i) for i in range(200)]
+    functions += constructed_witnesses(3, 3, 2, 4)
+    assert report.failures == ()
+    assert 0 < report.checked == sum(quasi_arity(f) == 3 for f in functions) < len(functions)
+
+
 def test_failures_replay(monkeypatch):
     # doctor a check so some functions fail, then replay each failure
     flaky = TheoremCheck("FLAKY", "table starts with zero", lambda f: f.table[0] == 0)
