@@ -69,7 +69,8 @@ def _sigma_gather(k: int, m: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
     return itemgetter(*out)
 
 
-# oracle_gap at n = 8 gathers through Bell(8) - 1 = 4,139 partition maps.
+# oracle_gap at n = 8 gathers through at most Bell(8) - 1 = 4,139 partition
+# maps, all of them only when every strict minor is constant.
 _cached_sigma_gather = lru_cache(maxsize=8192)(_sigma_gather)
 _CACHED_MAP = 1024  # maps with more entries are rebuilt on every call
 

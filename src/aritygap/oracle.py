@@ -1,15 +1,21 @@
-"""Brute-force oracles, seeded witness generators, and property-sweep verification.
+"""Definitional oracles, seeded witness generators, and property-sweep verification.
 
 The oracles recompute gap and quasi-arity from their definitions (maximum
-essential arity over all strict substitution minors; minimum essential arity
-over all completions of the repeat-set values) so the fast implementations
-can be checked against them.  ``verify`` runs a named property over an
-exhaustive or sampled function space and reports failures.
+essential arity over all strict substitution minors; least number of slots
+that f's values on the repeat set can be a function of) so the fast
+implementations can be checked against them.  Every essentiality decision in
+this module goes through its own check (`_is_essential`, counted by
+`_essential_count`), which shares no code with the kernel in `analysis`: a
+fault there shows up as failures of the T5.1 and L3.4 sweeps instead of
+being repeated by the oracles.  ``verify``
+runs a named property over an exhaustive or sampled function space and
+reports failures.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import re
@@ -33,7 +39,7 @@ from .core import (
     projection,
     tuple_to_index,
 )
-from .analysis import _essential_ids, _repeat_set, is_restriction_totally_symmetric
+from .analysis import _repeat_set, is_restriction_totally_symmetric
 from .classify import classify_pseudo_boolean, ternary_pattern
 from .gap import arity_gap, is_semiprojection, quasi_arity
 from .minors import _sigma_mapping, _substitute, identification_minor
@@ -89,15 +95,34 @@ def function_count(k: int, n: int, b: int, budget: int | None = None) -> int:
     return total
 
 
+def _is_essential(k: int, n: int, table: Sequence[int], slot: int) -> bool:
+    # With s = k^(n - slot), each block of k*s entries holds k runs of s
+    # entries that differ only in the digit at the slot; the slot is
+    # essential iff in some block a run differs from the run before it.
+    s = k ** (n - slot)
+    width = k * s
+    for q in range(0, len(table), width):
+        if table[q + s : q + width] != table[q : q + width - s]:
+            return True
+    return False
+
+
+def _essential_count(k: int, n: int, table: Sequence[int]) -> int:
+    # The number of essential slots, decided from the definition alone.
+    return sum([_is_essential(k, n, table, slot) for slot in range(1, n + 1)])
+
+
 @lru_cache(maxsize=16)
 def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    # Every partition of {1..n} except the finest, as its lead sigma: slot s
-    # is fed from the least slot of its block.  Slot by slot, a slot either
-    # joins the block of an earlier lead or opens a block of its own.
+    # Every partition of {1..n} except the finest, as its lead sigma (slot s
+    # is fed from the least slot of its block), the most blocks first.  Slot
+    # by slot, a slot either joins the block of an earlier lead or opens a
+    # block of its own.
     leads = [()]
     for s in range(1, n + 1):
         leads = [p + (t,) for p in leads for t in (*sorted(set(p)), s)]
-    return tuple(p for p in leads if p != tuple(range(1, n + 1)))
+    leads.remove(tuple(range(1, n + 1)))
+    return tuple(sorted(leads, key=lambda p: -len(set(p))))
 
 
 def oracle_gap(f: FiniteFunction) -> int:
@@ -108,19 +133,24 @@ def oracle_gap(f: FiniteFunction) -> int:
     slots (neither of which changes essential arity), from identifying the
     blocks of some partition of the slot set, so partitions are enumerated
     with duplicate tables skipped; minors with the full essential arity are
-    equivalent to f and excluded.
+    equivalent to f and excluded.  Partitions come finest first, and the
+    walk stops once a minor keeps ess - 1 slots (no strict minor keeps more)
+    or once the partitions left have no more blocks than the best minor has
+    essential slots (a minor over b blocks depends on at most b slots).
     """
-    ess = len(_essential_ids(f.k, f.n, f.table))
+    ess = _essential_count(f.k, f.n, f.table)
     if ess < 2:
         raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
     best = -1
     seen = set()
     for sigma in _partitions(f.n):
+        if best == ess - 1 or len(set(sigma)) <= best:
+            break
         table = _sigma_mapping(f.k, f.n, f.n, sigma)(f.table)
         if table in seen:
             continue
         seen.add(table)
-        e = len(_essential_ids(f.k, f.n, table))
+        e = _essential_count(f.k, f.n, table)
         if best < e < ess:
             best = e
     assert best >= 0
@@ -128,24 +158,35 @@ def oracle_gap(f: FiniteFunction) -> int:
 
 
 def oracle_quasi_arity(f: FiniteFunction, budget: int | None = None) -> int:
-    """Quasi-arity recomputed as the minimum essential arity over every
-    completion of f's values on the repeat set."""
-    free = tuple(_repeat_set(f.k, f.n, range(f.size), off=True))
-    if f.b ** len(free) > _resolve_budget(budget):
+    """Quasi-arity recomputed as the least essential arity of a total
+    function that agrees with f on the repeat set.
+
+    Such a function depending on no slot outside S exists iff f's values on
+    the repeat set are a function of the S-coordinates (fill every other
+    entry through that function), so the answer is the least such |S|,
+    found by trying slot sets in order of size.  With no repeat-free entries
+    (n > k, or n = 1) f is its only completion, and the answer is its
+    essential arity.  The budget bounds the search: 2^n slot sets times the
+    repeat-set rows.
+    """
+    k, n = f.k, f.n
+    free = 0 if n == 1 else math.perm(k, n)  # repeat-free tuples
+    if not free:
+        return _essential_count(k, n, f.table)
+    rows = f.size - free
+    if 2**n * rows > _resolve_budget(budget):
         raise OracleInfeasibleError(
-            f"{f.b}^{len(free)} support completions exceed the budget"
+            f"2^{n} slot sets over {rows} repeat-set rows exceed the budget"
         )
-    table = list(f.table)
-    best = len(_essential_ids(f.k, f.n, table))
-    for values in itertools.product(range(f.b), repeat=len(free)):
-        for pos, v in zip(free, values):
-            table[pos] = v
-        e = len(_essential_ids(f.k, f.n, table))
-        if e < best:
-            best = e
-            if best == 0:
-                break
-    return best
+    repeat = list(_repeat_set(k, n, zip(all_tuples(k, n), f.table)))
+    for m in range(n):
+        for slots in itertools.combinations(range(n), m):
+            by_key: dict[tuple[int, ...], int] = {}
+            if all(
+                by_key.setdefault(tuple(t[i] for i in slots), v) == v for t, v in repeat
+            ):
+                return m
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +198,23 @@ def _random_table(rng: random.Random, size: int, b: int) -> tuple[int, ...]:
     return tuple(rng.randrange(b) for _ in range(size))
 
 
-def _first_found(what: str, attempt: Callable[[], FiniteFunction | None]) -> FiniteFunction:
-    # The first result of attempt() that is not None.
+def _first_found(
+    what: str, attempt: Callable[[], FiniteFunction | None], retry: bool = True
+) -> FiniteFunction:
+    # The first result of attempt() that is not None.  Without retry,
+    # attempt() draws nothing at random, so its one result stands for all
+    # GENERATOR_ATTEMPTS of them.
     for _ in range(GENERATOR_ATTEMPTS):
         f = attempt()
         if f is not None:
             return f
+        if not retry:
+            break
     raise ValueError(f"no {what} found in {GENERATOR_ATTEMPTS} attempts")
 
 
 def _all_essential(f: FiniteFunction) -> bool:
-    return len(_essential_ids(f.k, f.n, f.table)) == f.n
+    return _essential_count(f.k, f.n, f.table) == f.n
 
 
 def _fill_repeat_free(
@@ -212,7 +259,7 @@ def gen_essentially_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFu
     def attempt() -> FiniteFunction | None:
         slots = sorted(rng.sample(range(1, n + 1), m))
         core = _random_table(rng, k**m, b)
-        if len(_essential_ids(k, m, core)) != m:
+        if _essential_count(k, m, core) != m:
             return None
         return _substitute(FiniteFunction(k, m, b, core), n, tuple(slots))
 
@@ -312,9 +359,12 @@ def gen_ternary_pattern(
             base[idx] = h_table[a2 if i2 else a1]
         elif a1 == a2:
             base[idx] = h_table[a3 if i3 else a1]
+    # At k = 2 every ternary tuple has a repeat, so there is nothing to
+    # draw and every attempt would build the same table.
     return _first_found(
         f"essentially ternary function with pattern {pattern}",
         lambda: _fill_repeat_free(rng, k, 3, b, base),
+        retry=k > 2,
     )
 
 
@@ -372,7 +422,7 @@ def parse_instance_filter(text: str) -> Callable[[FiniteFunction], bool]:
     if key == "qa":
         return lambda f: quasi_arity(f) == want
     if key == "ess":
-        return lambda f: len(_essential_ids(f.k, f.n, f.table)) == want
+        return lambda f: _essential_count(f.k, f.n, f.table) == want
 
     def by_gap(f: FiniteFunction) -> bool:
         try:
@@ -423,9 +473,7 @@ def _check_minors_constant_iff_quasi_nullary(f: FiniteFunction) -> bool | None:
 
 
 def _check_minors_unary_iff_quasi_unary(f: FiniteFunction) -> bool | None:
-    left = all(
-        len(_essential_ids(f.k, f.n, t)) == 1 for t in _all_id_minor_tables(f)
-    )
+    left = all(_essential_count(f.k, f.n, t) == 1 for t in _all_id_minor_tables(f))
     return left == (quasi_arity(f) == 1)
 
 
@@ -457,10 +505,14 @@ def _check_gap_iff_quasi_arity(f: FiniteFunction) -> bool | None:
 
 
 def _check_pseudo_boolean_classifier(f: FiniteFunction) -> bool | None:
-    ess = len(_essential_ids(f.k, f.n, f.table))
-    if ess < 2:
-        return True  # both classifier and oracle reject these inputs
-    return classify_pseudo_boolean(f).gap == oracle_gap(f)
+    try:
+        want = oracle_gap(f)
+    except GapUndefinedError:
+        return True  # fewer than two essential slots: both sides reject f
+    try:
+        return classify_pseudo_boolean(f).gap == want
+    except GapUndefinedError:
+        return False  # the classifier missed an essential slot
 
 
 def _check_large_range_gap_one(f: FiniteFunction) -> bool | None:
@@ -479,8 +531,9 @@ def _check_symmetry_of_gap_two(f: FiniteFunction) -> bool | None:
         for j in range(1, f.n + 1):
             if i == j:
                 continue
-            minor = identification_minor(f, i, j)
-            if set(_essential_ids(f.k, f.n, minor.table)) != expect - {i, j}:
+            table = identification_minor(f, i, j).table
+            essential = {s for s in expect if _is_essential(f.k, f.n, table, s)}
+            if essential != expect - {i, j}:
                 return False
     return True
 

@@ -275,6 +275,21 @@ def test_verify_sampled_with_seed(monkeypatch, capsys):
     assert out == out2  # byte-identical on identical inputs
 
 
+def test_verify_quasi_arity_oracle_budget_bounds_its_search(monkeypatch, capsys):
+    # (4,3,2) has 2^24 completions of its 24 repeat-free entries, but the
+    # oracle tries 2^3 slot sets over 40 repeat-set rows.
+    monkeypatch.delenv("ARITYGAP_BUDGET", raising=False)
+    argv = ["verify", "--theorem", "L3.4", "--k", "4", "--n", "3", "--b", "2",
+            "--samples", "50", "--seed", "1"]
+    assert run_cli(argv, "", monkeypatch, capsys) == (
+        0, "theorem=L3.4 checked=63 failures=0 seed=1\n", ""
+    )
+    monkeypatch.setenv("ARITYGAP_BUDGET", "319")
+    assert run_cli(argv, "", monkeypatch, capsys) == (
+        1, "", "aritygap: 2^3 slot sets over 40 repeat-set rows exceed the budget\n"
+    )
+
+
 def test_verify_domain_error_is_one_line(monkeypatch, capsys):
     code, out, err = run_cli(
         ["verify", "--theorem", "T5.1", "--k", "3", "--n", "2", "--b", "2", "--exhaustive"],

@@ -215,10 +215,31 @@ def test_hypotheses_retries_and_repeat_flags_live_in_one_place():
         first = node.body[0]
         if isinstance(first, ast.If):
             test = ast.unparse(first.test)
-            assert "f.n" not in test and "_essential_ids" not in test, name
+            assert "f.n" not in test and "_essential_" not in test, name
     sources = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
     assert sum(text.count("range(GENERATOR_ATTEMPTS)") for text in sources.values()) == 1
     assert [name for name, text in sources.items() if "_repeat_flags" in text] == ["analysis.py"]
+
+
+def test_oracle_decides_essentiality_on_its_own():
+    # The oracles check the fast paths, so they must not share the kernel,
+    # its plan or anything built on it; their own check keeps no cache.
+    src = Path(__file__).resolve().parents[1] / "src" / "aritygap"
+    tree = ast.parse((src / "oracle.py").read_text())
+    shared = {
+        "_essential_ids", "_plan", "essential_arity", "essential_slots", "restrict_to_essential"
+    }
+    nodes = list(ast.walk(tree))
+    used = {a.name for node in nodes if isinstance(node, ast.ImportFrom) for a in node.names}
+    used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert used & shared == set()
+    checks = {
+        node.name: ast.unparse(node)  # decorators included
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_essential_count", "_is_essential")
+    }
+    assert len(checks) == 2
+    assert [name for name, text in checks.items() if "lru_cache" in text] == []
 
 
 def test_large_index_maps_are_not_kept():

@@ -1,8 +1,13 @@
 import hashlib
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import aritygap
 
 from aritygap import (
     FiniteFunction,
@@ -32,8 +37,10 @@ from aritygap import (
     simple_minor,
     verify,
 )
+from aritygap import oracle
 from aritygap.oracle import (
     TheoremCheck,
+    _essential_count,
     constructed_witnesses,
     function_count,
     sampled_function,
@@ -94,6 +101,91 @@ def test_oracle_gap_agrees_with_arity_gap_exhaustive(k, n, b):
         if len(essential_slots(f)) < 2:
             continue
         assert oracle_gap(f) == arity_gap(f).gap
+
+
+# Reference: the least essential arity over every completion of f's values
+# on the repeat set, enumerated entry by entry.
+def completion_min_essl(f):
+    free = [idx for idx, t in enumerate(f.tuples()) if f.n > 1 and len(set(t)) == f.n]
+    table = list(f.table)
+    best = f.n
+    for values in itertools.product(range(f.b), repeat=len(free)):
+        for pos, v in zip(free, values):
+            table[pos] = v
+        best = min(best, len(essential_slots(FiniteFunction(f.k, f.n, f.b, tuple(table)))))
+    return best
+
+
+def eval_essential_count(f):
+    # Slots with two inputs that differ only there and get different values,
+    # found through FiniteFunction.eval alone.
+    points = list(itertools.product(range(f.k), repeat=f.n))
+    return sum(
+        any(
+            f.eval(t) != f.eval(t[:slot] + (v,) + t[slot + 1 :])
+            for t in points
+            for v in range(f.k)
+        )
+        for slot in range(f.n)
+    )
+
+
+@st.composite
+def small_functions(draw):
+    """A table of at most 243 entries that depends on a drawn set of slots,
+    constant when the set is empty, with one entry changed or not."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(1, max(m for m in range(1, 9) if k**m <= 243)))
+    b = draw(st.integers(2, 3))
+    slots = sorted(draw(st.sets(st.integers(0, n - 1))))
+    core = draw(st.lists(st.integers(0, b - 1), min_size=k ** len(slots), max_size=k ** len(slots)))
+    table = []
+    for t in itertools.product(range(k), repeat=n):
+        pos = 0
+        for s in slots:
+            pos = pos * k + t[s]
+        table.append(core[pos])
+    if draw(st.booleans()):
+        idx = draw(st.integers(0, k**n - 1))
+        table[idx] = (table[idx] + draw(st.integers(1, b - 1))) % b
+    return FiniteFunction(k, n, b, tuple(table))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(f=small_functions())
+def test_oracle_essential_count_is_the_definition(f):
+    assert _essential_count(f.k, f.n, f.table) == eval_essential_count(f)
+
+
+@pytest.mark.parametrize("k,n,b", [(3, 2, 2), (2, 3, 2)])
+def test_oracle_quasi_arity_matches_completion_enumeration(k, n, b):
+    for f in all_functions(k, n, b):
+        assert oracle_quasi_arity(f) == completion_min_essl(f)
+
+
+def test_oracle_quasi_arity_matches_completion_enumeration_sampled():
+    for i in range(200):
+        f = sampled_function(3, 3, 2, 13, i)
+        assert oracle_quasi_arity(f) == completion_min_essl(f)
+
+
+def test_oracles_catch_a_kernel_that_drops_the_last_slot(monkeypatch):
+    # Every module's binding of the fast kernel misses the last slot; the
+    # oracles decide essentiality on their own, so the sweeps that compare
+    # against them must report failures.
+    real = aritygap.analysis._essential_ids
+
+    def faulty(k, n, table, on_repeat=False):
+        return tuple(s for s in real(k, n, table, on_repeat) if s != n)
+
+    for info in pkgutil.iter_modules(aritygap.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"aritygap.{info.name}")
+        if hasattr(module, "_essential_ids"):
+            monkeypatch.setattr(module, "_essential_ids", faulty)
+    assert verify(SweepSpec("T5.1", 2, 3, 2, "exhaustive")).failures
+    assert verify(SweepSpec("L3.4", 3, 3, 2, "sampled", samples=300, seed=0)).failures
 
 
 def test_oracle_quasi_arity_examples():
@@ -191,9 +283,21 @@ def test_gen_semiprojection():
         gen_semiprojection(3, 4, 1, seed=0)
 
 
-def test_gen_ternary_pattern_rejects_unrealizable():
-    with pytest.raises(ValueError):
-        gen_ternary_pattern(2, (1, 0, 0), seed=0)  # a two-element semiprojection is a projection
+def test_gen_ternary_pattern_rejects_unrealizable(monkeypatch):
+    # A two-element semiprojection is a projection.  At k = 2 there is no
+    # repeat-free entry to draw, so one attempt decides.
+    fills = []
+    fill = oracle._fill_repeat_free
+
+    def counted(*args):
+        fills.append(args)
+        return fill(*args)
+
+    monkeypatch.setattr(oracle, "_fill_repeat_free", counted)
+    message = r"^no essentially ternary function with pattern \(1, 0, 0\) found in 1000 attempts$"
+    with pytest.raises(ValueError, match=message):
+        gen_ternary_pattern(2, (1, 0, 0), seed=0)
+    assert len(fills) == 1
 
 
 def test_generators_are_deterministic():

@@ -183,6 +183,8 @@ def test_partitions_are_the_coarser_lead_sigmas(n):
     assert len(leads) == bell(n) - 1
     assert len(set(leads)) == len(leads)
     assert tuple(range(1, n + 1)) not in leads
+    blocks = [len(set(sigma)) for sigma in leads]
+    assert blocks == sorted(blocks, reverse=True)  # the most blocks first
     for sigma in leads:
         assert len(sigma) == n
         # each slot is fed from the least slot of its block, itself a lead
