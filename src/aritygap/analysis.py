@@ -14,7 +14,6 @@ from .core import (
     all_tuples,
     constant,
     index_to_tuple,
-    strides,
 )
 from .minors import _substitute
 
@@ -67,7 +66,8 @@ def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[int, tuple[tuple[int, 
     size = k**n
     flags = _repeat_flags(k, n) if on_repeat else b"\x01" * size
     plan = []
-    for slot, s in enumerate(strides(k, n), start=1):
+    for slot in range(1, n + 1):
+        s = k ** (n - slot)
         width = k * s
         run = max(s, size // width)
         heads: list[tuple[int, int, int, int]] = []

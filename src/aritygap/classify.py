@@ -3,7 +3,7 @@ two-valued (Boolean) family recognizer, and the pseudo-Boolean reduction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     FiniteFunction,
@@ -118,26 +118,32 @@ def ternary_pattern(f: FiniteFunction) -> tuple[tuple[int, int, int], FiniteFunc
     h = diagonal(f)
     if h.is_constant():
         return None
-    shapes = (
-        lambda x0, x1: (x1, x0, x0),
-        lambda x0, x1: (x0, x1, x0),
-        lambda x0, x1: (x0, x0, x1),
-    )
+    k, ht = f.k, h.table
+    # (x0, x0, x0) sits at index x0 * (k^2 + k + 1); moving the slot of
+    # stride s from x0 to x1 adds (x1 - x0) * s.
+    step = k * k + k + 1
+    by_x0 = tuple(v for v in ht for _ in range(k))  # h(x0) in row x0, column x1
     pattern = []
-    for shape in shapes:
-        fits0 = fits1 = True
-        for x0 in range(f.k):
-            for x1 in range(f.k):
-                v = f.eval(shape(x0, x1))
-                if v != h.table[x0]:
-                    fits0 = False
-                if v != h.table[x1]:
-                    fits1 = False
-            if not (fits0 or fits1):
-                return None
+    for stride in (k * k, k, 1):
+        values = tuple(
+            f.table[x0 * step + (x1 - x0) * stride] for x0 in range(k) for x1 in range(k)
+        )
         # h nonconstant makes the fit unique
-        pattern.append(1 if fits1 else 0)
-    return (pattern[0], pattern[1], pattern[2]), h
+        if values == by_x0:
+            pattern.append(0)
+        elif values == ht * k:
+            pattern.append(1)
+        else:
+            return None
+    return tuple(pattern), h
+
+
+def _essential_part(f: FiniteFunction) -> tuple[FiniteFunction, tuple[int, ...]]:
+    # restrict_to_essential(f), refused below two essential slots.
+    g, slots = restrict_to_essential(f)
+    if len(slots) < 2:
+        raise GapUndefinedError(f"classification needs >= 2 essential slots, got {len(slots)}")
+    return g, slots
 
 
 def classify(f: FiniteFunction) -> Classification:
@@ -149,10 +155,8 @@ def classify(f: FiniteFunction) -> Classification:
     when m = n - 2, or m = n and the restriction to the repeat set is
     determined by oddsupp.  In all remaining cases the gap is 1.
     """
-    g, slots = restrict_to_essential(f)
+    g, slots = _essential_part(f)
     n = len(slots)
-    if n < 2:
-        raise GapUndefinedError(f"classification needs >= 2 essential slots, got {n}")
     qa = quasi_arity(g)
     if qa <= n - 3:
         tag = TAG_QUASI_NULLARY if qa == 0 else TAG_QUASI_LOW
@@ -175,44 +179,58 @@ _PAIRS3 = frozenset(
 )
 
 
-def _match_family(p: AnfPolynomial, m: int) -> tuple[str, tuple[int, ...]] | None:
-    # Families are matched on the essential part, up to slot permutation.
-    # The linear and majority shapes are permutation invariant; the other two
-    # are resolved by where their singleton monomials sit.
+def _match_family(p: AnfPolynomial, m: int):
+    # The family of p with its variables in family order, and the rationale
+    # of its gap 2 (tag, the tag's m, selector pattern), or None.  The
+    # rationale is read off the family, independently of classify(), so the
+    # two routes can be compared.  Families are matched on the essential
+    # part, up to slot permutation: the linear and majority shapes are
+    # permutation invariant, the other two are resolved by where their
+    # singleton monomials sit.
     monos = p.monomials
     if m >= 2 and monos == frozenset(frozenset({i}) for i in range(1, m + 1)):
-        return FAMILY_LINEAR, tuple(range(1, m + 1))
+        perm = tuple(range(1, m + 1))
+        if m == 2:
+            return FAMILY_LINEAR, perm, TAG_QUASI_N_MINUS_2, 0, None
+        if m == 3:
+            return FAMILY_LINEAR, perm, TAG_TERNARY, None, (1, 1, 1)
+        return FAMILY_LINEAR, perm, TAG_ODDSUPP, None, None
     if m == 2:
-        if monos == frozenset({frozenset({1, 2}), frozenset({1})}):
-            return FAMILY_PRODUCT, (1, 2)
-        if monos == frozenset({frozenset({1, 2}), frozenset({2})}):
-            return FAMILY_PRODUCT, (2, 1)
+        for perm in ((1, 2), (2, 1)):
+            if monos == frozenset({frozenset({1, 2}), frozenset({perm[0]})}):
+                return FAMILY_PRODUCT, perm, TAG_QUASI_N_MINUS_2, 0, None
     if m == 3:
         if monos == _PAIRS3:
-            return FAMILY_MAJORITY, (1, 2, 3)
+            return FAMILY_MAJORITY, (1, 2, 3), TAG_TERNARY, None, (0, 0, 0)
         singles = {next(iter(s)) for s in monos if len(s) == 1}
         if len(singles) == 2 and monos == _PAIRS3 | {frozenset({i}) for i in singles}:
-            i, j = sorted(singles)
-            rest = ({1, 2, 3} - singles).pop()
-            return FAMILY_TWOTHIRDS, (i, j, rest)
+            perm = (*sorted(singles), *({1, 2, 3} - singles))
+            pattern = tuple(int(i in singles) for i in (1, 2, 3))
+            return FAMILY_TWOTHIRDS, perm, TAG_TERNARY, None, pattern
     return None
 
 
-def _family_tag(family: str, m: int, perm_norm: tuple[int, ...]):
-    # Structural rationale for each gap-2 family; kept independent of
-    # classify() so the two routes can be compared.
-    if family == FAMILY_PRODUCT or (family == FAMILY_LINEAR and m == 2):
-        return TAG_QUASI_N_MINUS_2, 0, None
-    if family == FAMILY_LINEAR and m >= 4:
-        return TAG_ODDSUPP, None, None
-    if family == FAMILY_LINEAR:  # m == 3
-        return TAG_TERNARY, None, (1, 1, 1)
-    if family == FAMILY_MAJORITY:
-        return TAG_TERNARY, None, (0, 0, 0)
-    pattern = [0, 0, 0]
-    pattern[perm_norm[0] - 1] = 1
-    pattern[perm_norm[1] - 1] = 1
-    return TAG_TERNARY, None, tuple(pattern)
+def _classify_two_valued(
+    g: FiniteFunction, slots: tuple[int, ...], h: FiniteFunction, decomposition=None
+) -> Classification:
+    # The classification of the essential part g of a function, with slot
+    # map slots, from its 0/1 relabelling h (h is g for a Boolean input).
+    p = anf(h)
+    match = _match_family(p, len(slots))
+    if match is None:
+        return Classification(gap=1, tag=TAG_GAP_ONE, decomposition=decomposition)
+    family, perm, tag, m, pattern = match
+    return Classification(
+        gap=2,
+        tag=tag,
+        m=m,
+        pattern=pattern,
+        pattern_h=diagonal(g) if pattern is not None else None,
+        family=family,
+        family_constant=p.constant,
+        perm=tuple(slots[q - 1] for q in perm),
+        decomposition=decomposition,
+    )
 
 
 def classify_boolean(f: FiniteFunction) -> Classification:
@@ -227,26 +245,8 @@ def classify_boolean(f: FiniteFunction) -> Classification:
         raise UnsupportedDomainError(
             f"Boolean classifier needs k = b = 2, got k={f.k}, b={f.b}"
         )
-    g, slots = restrict_to_essential(f)
-    m = len(slots)
-    if m < 2:
-        raise GapUndefinedError(f"classification needs >= 2 essential slots, got {m}")
-    p = anf(g)
-    match = _match_family(p, m)
-    if match is None:
-        return Classification(gap=1, tag=TAG_GAP_ONE)
-    family, perm_norm = match
-    tag, tag_m, pattern = _family_tag(family, m, perm_norm)
-    return Classification(
-        gap=2,
-        tag=tag,
-        m=tag_m,
-        pattern=pattern,
-        pattern_h=diagonal(g) if pattern is not None else None,
-        family=family,
-        family_constant=p.constant,
-        perm=tuple(slots[q - 1] for q in perm_norm),
-    )
+    g, slots = _essential_part(f)
+    return _classify_two_valued(g, slots, g)
 
 
 def classify_pseudo_boolean(f: FiniteFunction) -> Classification:
@@ -259,22 +259,13 @@ def classify_pseudo_boolean(f: FiniteFunction) -> Classification:
     """
     if f.k != 2:
         raise UnsupportedDomainError(f"pseudo-Boolean classifier needs k = 2, got k={f.k}")
-    g, slots = restrict_to_essential(f)
-    n = len(slots)
-    if n < 2:
-        raise GapUndefinedError(f"classification needs >= 2 essential slots, got {n}")
+    g, slots = _essential_part(f)
     values = set(g.table)
     if len(values) == 2:
         v0 = g.table[0]
         v1 = (values - {v0}).pop()
-        h = FiniteFunction._valid(2, n, 2, tuple(0 if v == v0 else 1 for v in g.table))
-        inner = classify_boolean(h)
-        return replace(
-            inner,
-            pattern_h=diagonal(g) if inner.pattern is not None else None,
-            perm=tuple(slots[q - 1] for q in inner.perm) if inner.perm else None,
-            decomposition=((v0, v1), h),
-        )
-    if n == 2 and g.table[0] == g.table[3]:
+        h = FiniteFunction._valid(2, g.n, 2, tuple(0 if v == v0 else 1 for v in g.table))
+        return _classify_two_valued(g, slots, h, ((v0, v1), h))
+    if g.n == 2 and g.table[0] == g.table[3]:
         return Classification(gap=2, tag=TAG_QUASI_N_MINUS_2, m=0)
     return Classification(gap=1, tag=TAG_GAP_ONE)

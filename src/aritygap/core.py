@@ -25,7 +25,6 @@ import bisect
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 # Guard against absurd table sizes before allocating anything.
@@ -102,12 +101,6 @@ def _check_shape(k: int, n: int, b: int) -> None:
         raise ValueError(_over_limit_message(k, n))
 
 
-@lru_cache(maxsize=256)
-def strides(k: int, n: int) -> tuple[int, ...]:
-    """Index weight of each slot: slot i contributes a_i * k^(n-i)."""
-    return tuple(k ** (n - i) for i in range(1, n + 1))
-
-
 def tuple_to_index(k: int, t: Sequence[int]) -> int:
     idx = 0
     for a in t:
@@ -143,7 +136,7 @@ class FiniteFunction:
       an already valid table (``_substitute`` refuses an over-limit target
       arity first);
     - ``minors.identification_minor``, which copies slices of an already
-      valid table of the same shape, or gathers its entries;
+      valid table of the same shape;
     - ``oracle.function_by_id``, whose entries are base-b digits, and
       ``oracle.sampled_function``, whose entries come from ``randrange(b)``;
       both check k, n and b first;

@@ -178,7 +178,8 @@ def oracle_quasi_arity(f: FiniteFunction, budget: int | None = None) -> int:
         raise OracleInfeasibleError(
             f"2^{n} slot sets over {rows} repeat-set rows exceed the budget"
         )
-    repeat = list(_repeat_set(k, n, zip(all_tuples(k, n), f.table)))
+    # The repeat set read off the tuples, not from the kernel's flags.
+    repeat = [(t, v) for t, v in zip(all_tuples(k, n), f.table) if len(set(t)) < n]
     for m in range(n):
         for slots in itertools.combinations(range(n), m):
             by_key: dict[tuple[int, ...], int] = {}

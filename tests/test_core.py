@@ -242,6 +242,23 @@ def test_oracle_decides_essentiality_on_its_own():
     assert [name for name, text in checks.items() if "lru_cache" in text] == []
 
 
+def test_two_valued_classifiers_share_one_core():
+    # The pseudo-Boolean classifier runs the Boolean classification once on
+    # its relabelled table, not through the public classifier.
+    src = Path(__file__).resolve().parents[1] / "src" / "aritygap"
+    tree = ast.parse((src / "classify.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "replace" not in imported
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_family_tag" not in defs
+    called = {
+        node.func.id
+        for node in ast.walk(defs["classify_pseudo_boolean"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "classify_boolean" not in called
+
+
 def test_large_index_maps_are_not_kept():
     # The map of a restricted table has k^m entries; keeping one per
     # essential-slot set would let a stream of large tables fill memory.

@@ -188,6 +188,27 @@ def test_oracles_catch_a_kernel_that_drops_the_last_slot(monkeypatch):
     assert verify(SweepSpec("L3.4", 3, 3, 2, "sampled", samples=300, seed=0)).failures
 
 
+def test_oracle_catches_repeat_flags_that_miss_a_tuple(monkeypatch):
+    # The kernel's repeat-set flags lose (0, 0, 1) at k = n = 3; the
+    # quasi-arity oracle reads the repeat set off the tuples themselves,
+    # so the L3.4 sweeps that compare against it must report failures.
+    real = aritygap.analysis._repeat_flags
+    lost = aritygap.tuple_to_index(3, (0, 0, 1))
+
+    def faulty(k, n):
+        flags = real(k, n)
+        return flags[:lost] + b"\x00" + flags[lost + 1 :] if (k, n) == (3, 3) else flags
+
+    monkeypatch.setattr(aritygap.analysis, "_repeat_flags", faulty)
+    aritygap.analysis._plan.cache_clear()
+    try:
+        for b in (2, 3):
+            spec = SweepSpec("L3.4", 3, 3, b, "sampled", samples=300, seed=0)
+            assert verify(spec).failures, b
+    finally:
+        aritygap.analysis._plan.cache_clear()
+
+
 def test_oracle_quasi_arity_examples():
     f = from_function(3, 2, 2, lambda t: 0 if t[0] == t[1] else (t[0] + t[1]) % 2)
     assert oracle_quasi_arity(f) == 0
@@ -519,6 +540,20 @@ def test_declared_hypotheses_decide_what_is_checked(monkeypatch):
     functions += constructed_witnesses(3, 3, 2, 4)
     assert report.failures == ()
     assert 0 < report.checked == sum(quasi_arity(f) == 3 for f in functions) < len(functions)
+
+
+@pytest.mark.parametrize("k,n,b", [(2, 4, 2), (2, 5, 2), (3, 4, 2), (4, 4, 3), (5, 5, 2)])
+def test_symmetry_of_gap_two_checks_every_gap_two_input(monkeypatch, k, n, b):
+    # Random tables are almost never gap-2 quasi-n-ary, so sweeps seldom
+    # reach the T6.1 predicate; parity and oddsupp-determined tables do.
+    parity = from_function(k, n, b, lambda t: t.count(1) % 2)
+    inputs = [parity] + [gen_oddsupp_determined(k, n, b, seed) for seed in range(9)]
+    spec = SweepSpec("T6.1", k, n, b, "sampled", samples=0)
+    assert oracle._check_each(spec, inputs) == (len(inputs), [])
+    monkeypatch.setattr(oracle, "is_restriction_totally_symmetric", lambda f: False)
+    checked, failures = oracle._check_each(spec, inputs)
+    assert checked == len(inputs)
+    assert failures == [f.table for f in inputs]
 
 
 def test_failures_replay(monkeypatch):
