@@ -48,24 +48,42 @@ class AnfPolynomial:
         return tuple(self.evaluate(t) for t in all_tuples(2, self.n))
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _anf_bits(n: int, table: tuple[int, ...]) -> int:
+    # The ANF coefficients of a 0/1 table as the bits of one int: bit j is
+    # the coefficient of the monomial whose slots are n - p for the set bits
+    # p of j (bit 0 is the constant).  Packs the table (entry j at bit j),
+    # then runs the subset-lattice Moebius transform one bit position at a
+    # time: every j with bit p set takes the XOR of j - 2^p.
+    x = int(bytes(reversed(table)).translate(_DIGITS), 2)
+    size = 1 << n
+    for p in range(n):
+        w = 1 << p
+        low = (1 << w) - 1  # 2^p ones, then 2^p zeros, repeated to 2^n bits
+        width = 2 * w
+        while width < size:
+            low |= low << width
+            width *= 2
+        x ^= (x & low) << w
+    return x
+
+
 def anf(f: FiniteFunction) -> AnfPolynomial:
     """The unique multilinear polynomial mod 2 with f's table (subset-lattice
     Moebius transform)."""
     if f.k != 2 or f.b != 2:
         raise UnsupportedDomainError(f"ANF needs k = b = 2, got k={f.k}, b={f.b}")
-    coef = list(f.table)
-    size = 1 << f.n
-    for p in range(f.n):
-        bit = 1 << p
-        for j in range(size):
-            if j & bit:
-                coef[j] ^= coef[j ^ bit]
-    monos = []
-    for j in range(1, size):
-        if coef[j]:
-            # bit position p of the index corresponds to slot n - p
-            monos.append(frozenset(f.n - p for p in range(f.n) if j >> p & 1))
-    return AnfPolynomial(f.n, frozenset(monos), coef[0])
+    x = _anf_bits(f.n, f.table)
+    coef = f"{x:0{1 << f.n}b}"[::-1]
+    monos = [
+        # bit position p of the index corresponds to slot n - p
+        frozenset(f.n - p for p in range(f.n) if j >> p & 1)
+        for j in range(1, 1 << f.n)
+        if coef[j] == "1"
+    ]
+    return AnfPolynomial(f.n, frozenset(monos), x & 1)
 
 
 @dataclass(frozen=True)
@@ -174,38 +192,41 @@ def classify(f: FiniteFunction) -> Classification:
     return Classification(gap=1, tag=TAG_GAP_ONE)
 
 
-_PAIRS3 = frozenset(
-    {frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})}
-)
+# Monomial masks over the essential part (m = n), as _anf_bits lays them
+# out: the monomial with index j is bit j, and slot i is bit m - i of j.
+_X1X2 = 1 << 0b11
+_PRODUCT2 = {_X1X2 | 1 << 0b10: (1, 2), _X1X2 | 1 << 0b01: (2, 1)}
+_PAIRS3 = 1 << 0b110 | 1 << 0b101 | 1 << 0b011
+_TWOTHIRDS3 = {  # the pairs and two singletons: (perm, selector pattern)
+    _PAIRS3 | 1 << 0b100 | 1 << 0b010: ((1, 2, 3), (1, 1, 0)),
+    _PAIRS3 | 1 << 0b100 | 1 << 0b001: ((1, 3, 2), (1, 0, 1)),
+    _PAIRS3 | 1 << 0b010 | 1 << 0b001: ((2, 3, 1), (0, 1, 1)),
+}
 
 
-def _match_family(p: AnfPolynomial, m: int):
-    # The family of p with its variables in family order, and the rationale
-    # of its gap 2 (tag, the tag's m, selector pattern), or None.  The
-    # rationale is read off the family, independently of classify(), so the
-    # two routes can be compared.  Families are matched on the essential
+def _match_family(monos: int, m: int):
+    # The family of the ANF monomials `monos` (an _anf_bits mask without
+    # its constant bit) with its variables in family order, and the
+    # rationale of its gap 2 (tag, the tag's m, selector pattern), or None.
+    # The rationale is read off the family, independently of classify(), so
+    # the two routes can be compared.  Families are matched on the essential
     # part, up to slot permutation: the linear and majority shapes are
     # permutation invariant, the other two are resolved by where their
     # singleton monomials sit.
-    monos = p.monomials
-    if m >= 2 and monos == frozenset(frozenset({i}) for i in range(1, m + 1)):
+    if m >= 2 and monos.bit_count() == m and monos == sum(1 << (1 << p) for p in range(m)):
         perm = tuple(range(1, m + 1))
         if m == 2:
             return FAMILY_LINEAR, perm, TAG_QUASI_N_MINUS_2, 0, None
         if m == 3:
             return FAMILY_LINEAR, perm, TAG_TERNARY, None, (1, 1, 1)
         return FAMILY_LINEAR, perm, TAG_ODDSUPP, None, None
-    if m == 2:
-        for perm in ((1, 2), (2, 1)):
-            if monos == frozenset({frozenset({1, 2}), frozenset({perm[0]})}):
-                return FAMILY_PRODUCT, perm, TAG_QUASI_N_MINUS_2, 0, None
+    if m == 2 and monos in _PRODUCT2:
+        return FAMILY_PRODUCT, _PRODUCT2[monos], TAG_QUASI_N_MINUS_2, 0, None
     if m == 3:
         if monos == _PAIRS3:
             return FAMILY_MAJORITY, (1, 2, 3), TAG_TERNARY, None, (0, 0, 0)
-        singles = {next(iter(s)) for s in monos if len(s) == 1}
-        if len(singles) == 2 and monos == _PAIRS3 | {frozenset({i}) for i in singles}:
-            perm = (*sorted(singles), *({1, 2, 3} - singles))
-            pattern = tuple(int(i in singles) for i in (1, 2, 3))
+        if monos in _TWOTHIRDS3:
+            perm, pattern = _TWOTHIRDS3[monos]
             return FAMILY_TWOTHIRDS, perm, TAG_TERNARY, None, pattern
     return None
 
@@ -215,8 +236,8 @@ def _classify_two_valued(
 ) -> Classification:
     # The classification of the essential part g of a function, with slot
     # map slots, from its 0/1 relabelling h (h is g for a Boolean input).
-    p = anf(h)
-    match = _match_family(p, len(slots))
+    x = _anf_bits(h.n, h.table)
+    match = _match_family(x & ~1, len(slots))
     if match is None:
         return Classification(gap=1, tag=TAG_GAP_ONE, decomposition=decomposition)
     family, perm, tag, m, pattern = match
@@ -227,7 +248,7 @@ def _classify_two_valued(
         pattern=pattern,
         pattern_h=diagonal(g) if pattern is not None else None,
         family=family,
-        family_constant=p.constant,
+        family_constant=x & 1,
         perm=tuple(slots[q - 1] for q in perm),
         decomposition=decomposition,
     )

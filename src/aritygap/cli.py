@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import core, minors
 from .classify import (
@@ -24,8 +25,8 @@ from .oddsupp import is_determined_by_oddsupp, is_restriction_determined_by_odds
 from .oracle import (
     SweepSpec,
     THEOREMS,
-    function_by_id,
     function_count,
+    functions_in_order,
     gen_oddsupp_determined,
     gen_quasi_m_ary,
     gen_salomaa,
@@ -36,6 +37,13 @@ from .oracle import (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once for each set of registered
+    theorems (the `verify --theorem` choices)."""
+    return _parser(tuple(sorted(THEOREMS)))
+
+
+@lru_cache(maxsize=1)
+def _parser(theorems: tuple[str, ...]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aritygap",
         description="Essential variables, minors, quasi-arity and arity gap "
@@ -96,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile")
 
     p = sub.add_parser("verify", help="run a named property sweep")
-    p.add_argument("--theorem", required=True, choices=sorted(THEOREMS))
+    p.add_argument("--theorem", required=True, choices=theorems)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
@@ -228,8 +236,7 @@ def _cmd_gen(args, out: _Output) -> int:
 def _cmd_enumerate(args, out: _Output) -> int:
     total = function_count(args.k, args.n, args.b)
     keep = parse_instance_filter(args.filter) if args.filter else None
-    for ident in range(total):
-        f = function_by_id(args.k, args.n, args.b, ident)
+    for f in functions_in_order(args.k, args.n, args.b, 0, total):
         if keep is None or keep(f):
             out.write(render(f))
     return 0

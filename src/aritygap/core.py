@@ -137,9 +137,12 @@ class FiniteFunction:
       arity first);
     - ``minors.identification_minor``, which copies slices of an already
       valid table of the same shape;
-    - ``oracle.function_by_id``, whose entries are base-b digits, and
-      ``oracle.sampled_function``, whose entries come from ``randrange(b)``;
-      both check k, n and b first;
+    - ``oracle.function_by_id``, whose entries are base-b digits,
+      ``oracle.functions_in_order``, whose tables are the tuples of
+      ``itertools.product(range(b), repeat=k**n)``, and
+      ``oracle.sampled_function``, whose entries are the top bits of
+      ``getrandbits`` words, kept below b as ``randrange(b)`` draws them;
+      all three check k, n and b first;
     - ``classify.classify_pseudo_boolean``, whose table ``h`` relabels the
       two values of a valid table over k = 2 as 0 and 1.
     """

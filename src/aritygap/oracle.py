@@ -22,8 +22,7 @@ import re
 import time
 from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache, partial
-from multiprocessing import Pool
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     MAX_TABLE_ENTRIES,
@@ -681,7 +680,7 @@ THEOREMS: dict[str, TheoremCheck] = {
 
 def function_by_id(k: int, n: int, b: int, ident: int) -> FiniteFunction:
     """The ident-th function in the canonical enumeration: the table read as a
-    big-endian base-b numeral."""
+    big-endian base-b numeral.  `functions_in_order` walks a range of ids."""
     size = _checked_size(k, n, b)
     table = [0] * size
     for pos in range(size - 1, -1, -1):
@@ -691,10 +690,51 @@ def function_by_id(k: int, n: int, b: int, ident: int) -> FiniteFunction:
     return FiniteFunction._valid(k, n, b, tuple(table))
 
 
+def functions_in_order(k: int, n: int, b: int, lo: int, hi: int) -> Iterator[FiniteFunction]:
+    """function_by_id(k, n, b, i) for i in range(lo, hi), in that order.
+
+    itertools.product over range(b) counts through the big-endian base-b
+    numerals, so its i-th tuple is the table of id i.
+    """
+    size = _checked_size(k, n, b)
+    tables = itertools.islice(itertools.product(range(b), repeat=size), lo, hi)
+    return map(partial(FiniteFunction._valid, k, n, b), tables)
+
+
+@lru_cache(maxsize=256)
+def _top_bits(b: int) -> tuple[bytes, bytes]:
+    # For 2 <= b <= 255: randrange(b) keeps the top b.bit_length() bits of a
+    # 32-bit Mersenne Twister word and draws again while they are >= b.  As
+    # translate arguments over the top byte of a word: the table that keeps
+    # those bits, and the bytes whose kept bits are >= b.
+    shift = 8 - b.bit_length()
+    top = bytes(x >> shift for x in range(256))
+    return top, bytes(x for x in range(256) if x >> shift >= b)
+
+
+def _sampled_table(rng: random.Random, size: int, b: int) -> tuple[int, ...]:
+    # The first `size` values of randrange(b) on rng, which may be drawn
+    # past them.  getrandbits(32 * m) holds the next m words, the first one
+    # least significant, so the little-endian bytes 3, 7, ... are the top
+    # bytes of the words in draw order.
+    if b > 255:
+        return _random_table(rng, size, b)
+    top, delete = _top_bits(b)
+    bits = b.bit_length()
+    values = b""
+    while len(values) < size:
+        words = ((size - len(values)) << bits) // b + 1
+        drawn = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        values += drawn.translate(top, delete)
+    return tuple(values[:size])
+
+
 def sampled_function(k: int, n: int, b: int, seed: int | None, index: int) -> FiniteFunction:
+    """Sample `index` at `seed`: its k^n entries are successive
+    randrange(b) draws from random.Random(f"{seed}:{index}")."""
     size = _checked_size(k, n, b)
     rng = random.Random(f"{seed}:{index}")
-    return FiniteFunction._valid(k, n, b, _random_table(rng, size, b))
+    return FiniteFunction._valid(k, n, b, _sampled_table(rng, size, b))
 
 
 def constructed_witnesses(k: int, n: int, b: int, seed: int | None) -> list[FiniteFunction]:
@@ -752,10 +792,11 @@ def _check_each(spec: SweepSpec, functions) -> tuple[int, list[tuple[int, ...]]]
 
 def _sweep_range(spec: SweepSpec, bounds: tuple[int, int]) -> tuple[int, list[tuple[int, ...]]]:
     if spec.mode == "exhaustive":
-        make = partial(function_by_id, spec.k, spec.n, spec.b)
+        functions = functions_in_order(spec.k, spec.n, spec.b, *bounds)
     else:
         make = partial(sampled_function, spec.k, spec.n, spec.b, spec.seed)
-    return _check_each(spec, map(make, range(*bounds)))
+        functions = map(make, range(*bounds))
+    return _check_each(spec, functions)
 
 
 def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> VerificationReport:
@@ -791,6 +832,8 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
     if jobs > 1 and total > 0:
         chunk = max(1, total // (jobs * 4))
         bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        from multiprocessing import Pool  # only here: the import is slow
+
         with Pool(jobs) as pool:
             parts = pool.map(sweep, bounds)
     else:

@@ -23,6 +23,7 @@ from aritygap import (
     render_classification,
     ternary_pattern,
 )
+from aritygap.classify import _anf_bits
 
 XOR2 = FiniteFunction(2, 2, 2, (0, 1, 1, 0))
 AND2 = FiniteFunction(2, 2, 2, (0, 0, 0, 1))
@@ -79,6 +80,34 @@ def test_anf_round_trip_exhaustive(n):
     # every Boolean function equals the evaluation of its polynomial
     for f in all_functions(2, n, 2):
         assert anf(f).table() == f.table
+
+
+def subset_lattice_anf(n, table):
+    # The ANF coefficients by the in-place Moebius transform over a list.
+    coef = list(table)
+    for p in range(n):
+        bit = 1 << p
+        for j in range(1 << n):
+            if j & bit:
+                coef[j] ^= coef[j ^ bit]
+    return coef
+
+
+def test_anf_bits_match_the_subset_lattice_transform():
+    def check(n, table):
+        x = _anf_bits(n, table)
+        assert x >> (1 << n) == 0
+        assert [x >> j & 1 for j in range(1 << n)] == subset_lattice_anf(n, table)
+
+    for n in range(1, 5):
+        for table in itertools.product(range(2), repeat=1 << n):
+            check(n, table)
+    rng = random.Random(5)
+    for n in range(5, 13):
+        for _ in range(8):
+            check(n, tuple(rng.randrange(2) for _ in range(1 << n)))
+        check(n, (0,) * (1 << n))
+        check(n, (1,) * (1 << n))
 
 
 def test_anf_evaluate_matches_definition():

@@ -330,6 +330,8 @@ class InlinePool:
 
 
 def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
+    import multiprocessing
+
     import aritygap.oracle
 
     sizes = []
@@ -340,7 +342,7 @@ def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
 
     argv = ["verify", "--theorem", "T4.1", "--k", "2", "--n", "3", "--b", "2",
             "--exhaustive", "--jobs", "64"]
-    monkeypatch.setattr(aritygap.oracle, "Pool", pool)
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
     monkeypatch.setattr(aritygap.oracle.os, "cpu_count", lambda: 2)
     code, out, _ = run_cli(argv, "", monkeypatch, capsys)
     assert code == 0
@@ -352,6 +354,31 @@ def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
     assert code == 0
     assert out == "theorem=T4.1 checked=218 failures=0 seed=-\n"
     assert sizes == [2]
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # Only verify --jobs above 1 starts a pool, so only it imports
+    # multiprocessing.
+    script = "import sys, aritygap, aritygap.cli\nprint('multiprocessing' in sys.modules)\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert done.stderr == ""
+    assert done.stdout == "False\n"
+
+
+def test_parser_is_built_once_per_registry(monkeypatch):
+    from aritygap.cli import build_parser
+    from aritygap.oracle import TheoremCheck, THEOREMS
+
+    parser = build_parser()
+    assert build_parser() is parser
+    monkeypatch.setitem(THEOREMS, "EXTRA", TheoremCheck("EXTRA", "", lambda f: True))
+    assert build_parser() is not parser
+    args = build_parser().parse_args(
+        ["verify", "--theorem", "EXTRA", "--k", "2", "--n", "1", "--b", "2", "--exhaustive"]
+    )
+    assert args.theorem == "EXTRA"
 
 
 def test_verify_unknown_theorem(monkeypatch, capsys):

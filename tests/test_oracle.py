@@ -41,8 +41,10 @@ from aritygap import oracle
 from aritygap.oracle import (
     TheoremCheck,
     _essential_count,
+    _sampled_table,
     constructed_witnesses,
     function_count,
+    functions_in_order,
     sampled_function,
     table_entries,
 )
@@ -592,6 +594,8 @@ def test_generated_tables_check_their_shape(k, n, b, message):
         function_by_id(k, n, b, 0)
     with pytest.raises(ValueError, match=message):
         sampled_function(k, n, b, 0, 0)
+    with pytest.raises(ValueError, match=message):
+        functions_in_order(k, n, b, 0, 1)
 
 
 def test_sampled_function_determinism():
@@ -600,6 +604,49 @@ def test_sampled_function_determinism():
     c = sampled_function(3, 3, 2, 7, 5)
     assert a == b
     assert a != c
+
+
+def randrange_table(seed, size, b):
+    # The sampling contract, one randrange(b) draw per entry.
+    rng = random.Random(seed)
+    return tuple(rng.randrange(b) for _ in range(size))
+
+
+class CountingRandom(random.Random):
+    def getrandbits(self, k):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().getrandbits(k)
+
+
+def test_sampled_tables_are_randrange_draws():
+    for b in range(2, 301):
+        for size in (1, 2, 5, 81, 243, 1000):
+            for seed in range(3):
+                key = f"{seed}:{b}:{size}"
+                got = _sampled_table(random.Random(key), size, b)
+                assert got == randrange_table(key, size, b), (b, size, seed)
+    # b = 129 rejects 127 of every 256 top bytes, so a batch sized for the
+    # expected rate often comes up short and a second one is drawn
+    batches = []
+    for seed in range(10):
+        rng = CountingRandom(seed)
+        assert _sampled_table(rng, 1000, 129) == randrange_table(seed, 1000, 129)
+        batches.append(rng.calls)
+    assert max(batches) >= 2
+    for k, n, b in ((3, 5, 2), (3, 3, 3), (2, 4, 2), (2, 2, 300), (2, 8, 129), (2, 3, 256)):
+        for seed in (0, 7, None):
+            for i in range(5):
+                want = randrange_table(f"{seed}:{i}", k**n, b)
+                assert sampled_function(k, n, b, seed, i).table == want
+
+
+@pytest.mark.parametrize("k, n, b", [(2, 2, 2), (2, 2, 3), (3, 1, 3), (2, 3, 2)])
+def test_functions_in_order_walks_the_ids(k, n, b):
+    total = function_count(k, n, b)
+    for lo, hi in ((0, total), (1, 2), (5, 40), (total - 3, total), (17, 17), (3, total + 9)):
+        got = [f.table for f in functions_in_order(k, n, b, lo, hi)]
+        want = [function_by_id(k, n, b, i).table for i in range(lo, min(hi, total))]
+        assert got == want, (lo, hi)
 
 
 def test_constructed_witnesses_exercise_positive_side():
