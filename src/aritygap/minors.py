@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
@@ -69,25 +68,12 @@ def _sigma_gather(k: int, m: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
     return itemgetter(*out)
 
 
-# oracle_gap at n = 8 gathers through at most Bell(8) - 1 = 4,139 partition
-# maps, all of them only when every strict minor is constant.
-_cached_sigma_gather = lru_cache(maxsize=8192)(_sigma_gather)
-_CACHED_MAP = 1024  # maps with more entries are rebuilt on every call
-
-
-def _sigma_mapping(k: int, m: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
-    # Only small maps are kept, so the cache holds at most 8,192 * 1,024
-    # entries; a large table's map is used once and dropped with the call.
-    build = _cached_sigma_gather if k**n <= _CACHED_MAP else _sigma_gather
-    return build(k, m, n, sigma)
-
-
 def _substitute(g: FiniteFunction, n: int, sigma: tuple[int, ...]) -> FiniteFunction:
     # The arity-n minor of g under an already valid sigma (g.n entries in 1..n).
     # A minor no wider than g fits the table limit because g does.
     if n > g.n and over_table_limit(g.k, n):
         raise ValueError(_over_limit_message(g.k, n))
-    return FiniteFunction._valid(g.k, n, g.b, _sigma_mapping(g.k, g.n, n, sigma)(g.table))
+    return FiniteFunction._valid(g.k, n, g.b, _sigma_gather(g.k, g.n, n, sigma)(g.table))
 
 
 def simple_minor(g: FiniteFunction, sigma: MinorMap) -> FiniteFunction:

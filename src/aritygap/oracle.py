@@ -3,13 +3,12 @@
 The oracles recompute gap and quasi-arity from their definitions (maximum
 essential arity over all strict substitution minors; least number of slots
 that f's values on the repeat set can be a function of) so the fast
-implementations can be checked against them.  Every essentiality decision in
-this module goes through its own check (`_is_essential`, counted by
-`_essential_count`), which shares no code with the kernel in `analysis`: a
-fault there shows up as failures of the T5.1 and L3.4 sweeps instead of
-being repeated by the oracles.  ``verify``
-runs a named property over an exhaustive or sampled function space and
-reports failures.
+implementations can be checked against them.  They build on `core` alone:
+their essentiality check (`_is_essential`, counted by `_essential_count`) and
+their partition-minor maps (`_lead_gather`) share no code with `analysis` or
+`minors`, so a fault there shows up as failures of the T5.1 and L3.4 sweeps
+instead of being repeated by the oracles.  ``verify`` runs a named property
+over an exhaustive or sampled function space and reports failures.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import re
 import time
 from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .core import (
@@ -41,7 +41,7 @@ from .core import (
 from .analysis import _repeat_set, is_restriction_totally_symmetric
 from .classify import classify_pseudo_boolean, ternary_pattern
 from .gap import arity_gap, is_semiprojection, quasi_arity
-from .minors import _sigma_mapping, _substitute, identification_minor
+from .minors import _substitute, identification_minor
 from .oddsupp import (
     _oddsupp_masks,
     is_restriction_determined_by_oddsupp,
@@ -124,6 +124,18 @@ def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(leads, key=lambda p: -len(set(p))))
 
 
+@lru_cache(maxsize=8192)
+def _lead_gather(k: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
+    # Entry t of the minor reads f at (t_sigma(1), ..., t_sigma(n)), of index
+    # sum_l t_sigma(l) * k^(n-l); expanding t's digits from slot 1 on keeps
+    # table order.  oracle_gap caches only maps of up to 1,024 entries.
+    index = [0]
+    for s in range(1, n + 1):
+        w = sum(k ** (n - l) for l, lead in enumerate(sigma, start=1) if lead == s)
+        index = [x + a * w for x in index for a in range(k)]
+    return itemgetter(*index)
+
+
 def oracle_gap(f: FiniteFunction) -> int:
     """Gap recomputed as ess f minus the maximum essential arity over all
     strict substitution minors.
@@ -142,10 +154,11 @@ def oracle_gap(f: FiniteFunction) -> int:
         raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
     best = -1
     seen = set()
+    gather = _lead_gather if f.size <= 1024 else _lead_gather.__wrapped__
     for sigma in _partitions(f.n):
         if best == ess - 1 or len(set(sigma)) <= best:
             break
-        table = _sigma_mapping(f.k, f.n, f.n, sigma)(f.table)
+        table = gather(f.k, f.n, sigma)(f.table)
         if table in seen:
             continue
         seen.add(table)

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 import itertools
 import pkgutil
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import aritygap
-from aritygap import minors
+from aritygap import oracle
 from aritygap.oracle import THEOREMS
 from aritygap import (
     FiniteFunction,
@@ -22,7 +23,6 @@ from aritygap import (
     parse_stream,
     render,
     render_line,
-    restrict_to_essential,
     tuple_to_index,
 )
 
@@ -189,7 +189,7 @@ def test_every_cache_is_bounded():
     # A cache keyed by shape or pair that never evicts grows with every k
     # and n a process meets.
     caches = dict(_caches())
-    assert {"minors._cached_sigma_gather", "analysis._plan", "oracle._partitions"} <= set(caches)
+    assert {"oracle._lead_gather", "analysis._plan", "oracle._partitions"} <= set(caches)
     assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
     # Caches out of reach of the walk above (nested or decorated later).
     unbounded = re.compile(r"maxsize=None|lru_cache\(\s*None|functools\.cache\b|@cache\b|import[^\n]*\bcache\b")
@@ -222,23 +222,46 @@ def test_hypotheses_retries_and_repeat_flags_live_in_one_place():
 
 
 def test_oracle_decides_essentiality_on_its_own():
-    # The oracles check the fast paths, so they must not share the kernel,
-    # its plan or anything built on it; their own check keeps no cache.
+    # The oracles check the fast paths, so they must share nothing with them.
+    # Every name the definitional oracles load is a builtin, a stdlib name, a
+    # name imported from .core, a literal constant of oracle.py, or another
+    # function of oracle.py, which is then held to the same rule.
     src = Path(__file__).resolve().parents[1] / "src" / "aritygap"
     tree = ast.parse((src / "oracle.py").read_text())
-    shared = {
-        "_essential_ids", "_plan", "essential_arity", "essential_slots", "restrict_to_essential"
-    }
-    nodes = list(ast.walk(tree))
-    used = {a.name for node in nodes if isinstance(node, ast.ImportFrom) for a in node.names}
-    used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-    assert used & shared == set()
-    checks = {
-        node.name: ast.unparse(node)  # decorators included
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in ("_essential_count", "_is_essential")
-    }
-    assert len(checks) == 2
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    allowed = set(dir(builtins))
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            allowed |= {
+                a.asname or a.name.split(".")[0]
+                for a in node.names
+                if a.name.split(".")[0] in sys.stdlib_module_names
+            }
+        elif isinstance(node, ast.ImportFrom):
+            if (node.level, node.module) == (1, "core") or (
+                node.level == 0 and node.module.split(".")[0] in sys.stdlib_module_names
+            ):
+                allowed |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign) and not any(
+            isinstance(x, ast.Name) for x in ast.walk(node.value)
+        ):
+            allowed |= {target.id for target in node.targets}
+    todo = ["_is_essential", "_essential_count", "_partitions", "_lead_gather"]
+    todo += ["oracle_gap", "oracle_quasi_arity"]
+    own = set()
+    while todo:
+        name = todo.pop()
+        if name in own:
+            continue
+        own.add(name)
+        nodes = list(ast.walk(defs[name]))
+        bound = {x.arg for x in nodes if isinstance(x, ast.arg)}
+        bound |= {x.id for x in nodes if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Store)}
+        loaded = {x.id for x in nodes if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Load)}
+        for other in sorted(loaded - bound - allowed):
+            assert other in defs, f"{name} loads {other}"
+            todo.append(other)
+    checks = {name: ast.unparse(defs[name]) for name in ("_essential_count", "_is_essential")}
     assert [name for name, text in checks.items() if "lru_cache" in text] == []
 
 
@@ -260,18 +283,19 @@ def test_two_valued_classifiers_share_one_core():
 
 
 def test_large_index_maps_are_not_kept():
-    # The map of a restricted table has k^m entries; keeping one per
-    # essential-slot set would let a stream of large tables fill memory.
-    cached = minors._cached_sigma_gather
-    # Parity of all slots but the first: every other slot is essential.
+    # oracle_gap keeps the partition maps of tables of up to 1,024 entries
+    # only; keeping one map per partition of every wide table would let a
+    # stream of them fill memory.  minors builds each map for its call and
+    # keeps none.
+    assert [name for name, _ in _caches() if name.startswith("minors.")] == []
+    cached = oracle._lead_gather
+    # Parity of every slot: identifying two slots drops both, so the walk
+    # gathers the C(n, 2) minors with one pair identified.
     small, large = (
-        FiniteFunction(2, n, 2, tuple(bin(x).count("1") % 2 for x in range(2 ** (n - 1))) * 2)
+        FiniteFunction(2, n, 2, tuple(bin(x).count("1") % 2 for x in range(2**n)))
         for n in (5, 12)
     )
-    for f, looked_up in ((small, 1), (large, 0)):
-        before = cached.cache_info()
-        g, slots = restrict_to_essential(f)
-        assert slots == tuple(range(2, f.n + 1))
-        assert g.table == f.table[: 2 ** (f.n - 1)]
-        after = cached.cache_info()
-        assert after.hits + after.misses - before.hits - before.misses == looked_up
+    for f, kept in ((small, 10), (large, 0)):
+        cached.cache_clear()
+        assert oracle.oracle_gap(f) == 2
+        assert cached.cache_info().currsize == kept

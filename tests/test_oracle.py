@@ -3,6 +3,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +189,34 @@ def test_oracles_catch_a_kernel_that_drops_the_last_slot(monkeypatch):
             monkeypatch.setattr(module, "_essential_ids", faulty)
     assert verify(SweepSpec("T5.1", 2, 3, 2, "exhaustive")).failures
     assert verify(SweepSpec("L3.4", 3, 3, 2, "sampled", samples=300, seed=0)).failures
+
+
+def test_oracle_gap_builds_its_own_partition_minors(monkeypatch):
+    # minors' index map sends the last entry of every minor to the first.
+    # oracle_gap gathers its partition minors through maps of its own, so
+    # none of its answers moves, while the classifier it checks goes through
+    # minors and the T5.1 sweep reports failures.
+    def answers():
+        out = []
+        for f in functions_in_order(2, 3, 2, 0, 256):
+            try:
+                out.append(oracle_gap(f))
+            except GapUndefinedError:
+                out.append(None)
+        return out
+
+    real = aritygap.minors._sigma_gather
+
+    def faulty(k, m, n, sigma):
+        index = list(real(k, m, n, sigma)(range(k**m)))
+        index[-1] = index[0]
+        return itemgetter(*index)
+
+    before = answers()
+    assert not verify(SweepSpec("T5.1", 2, 3, 2, "exhaustive")).failures
+    monkeypatch.setattr(aritygap.minors, "_sigma_gather", faulty)
+    assert answers() == before
+    assert verify(SweepSpec("T5.1", 2, 3, 2, "exhaustive")).failures
 
 
 def test_oracle_catches_repeat_flags_that_miss_a_tuple(monkeypatch):

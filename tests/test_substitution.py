@@ -1,12 +1,14 @@
-"""Properties of the one substitution-index builder in `minors`, and of the
-pair scan in `arity_gap` that stops early.
+"""Properties of the one substitution-index builder in `minors`, of the
+partition-minor maps that `oracle_gap` builds for itself, and of the pair
+scan in `arity_gap` that stops early.
 
-Every re-indexed table (simple minors, restrictions to essential slots,
-support extensions and the partition minors behind `oracle_gap`) is gathered
-through the same index map, so each result is checked here against a
-reference built from `FiniteFunction.eval` alone.  `arity_gap` is checked
-against a scan of every pair of essential slots.  Runs are derandomized, so
-the suite stays deterministic.
+Every re-indexed table of the library (simple minors, restrictions to
+essential slots and support extensions) is gathered through the `minors`
+index map; `oracle_gap` gathers its partition minors through its own maps,
+so that a fault in one is not repeated by the other.  Each result is checked
+here against a reference built from `FiniteFunction.eval` alone.  `arity_gap`
+is checked against a scan of every pair of essential slots.  Runs are
+derandomized, so the suite stays deterministic.
 """
 
 import itertools
@@ -34,7 +36,7 @@ from aritygap import (
     simple_minor,
     support_extension,
 )
-from aritygap.oracle import _partitions, sampled_function
+from aritygap.oracle import _lead_gather, _partitions, sampled_function
 
 MAX_SIZE = 1024
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
@@ -190,6 +192,17 @@ def test_partitions_are_the_coarser_lead_sigmas(n):
         # each slot is fed from the least slot of its block, itself a lead
         for s, lead in enumerate(sigma, start=1):
             assert lead <= s and sigma[lead - 1] == lead
+
+
+@pytest.mark.parametrize("k,n", [(2, n) for n in range(1, 8)] + [(3, 4), (3, 5), (4, 4), (5, 3)])
+def test_oracle_partition_maps_are_the_substitution(k, n):
+    # Each entry of the table names its own index, so the gathered table is
+    # the map itself: entry t must read f at (t_sigma(1), ..., t_sigma(n)).
+    f = FiniteFunction(k, n, k**n, tuple(range(k**n)))
+    for sigma in _partitions(n):
+        reference = tuple(f.eval(tuple(t[s - 1] for s in sigma)) for t in points(k, n))
+        assert _lead_gather(k, n, sigma)(f.table) == reference, sigma
+        assert _lead_gather.__wrapped__(k, n, sigma)(f.table) == reference, sigma
 
 
 def all_pairs_gap(f):
