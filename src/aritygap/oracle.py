@@ -53,9 +53,12 @@ GENERATOR_ATTEMPTS = 1000
 
 
 def _resolve_budget(budget: int | None) -> int:
+    # The budget given, else ARITYGAP_BUDGET (ASCII digits), else the default.
     if budget is not None:
         return budget
     env = os.environ.get("ARITYGAP_BUDGET")
+    if env and not re.fullmatch(r"[0-9]+", env):
+        raise ValueError(f"ARITYGAP_BUDGET must be a non-negative integer, got {env!r}")
     return int(env) if env else DEFAULT_BUDGET
 
 
@@ -169,6 +172,21 @@ def oracle_gap(f: FiniteFunction) -> int:
     return ess - best
 
 
+def _repeat_rows_within_budget(k: int, n: int, budget: int | None = None) -> int:
+    # The repeat-set rows oracle_quasi_arity searches at shape (k, n), 0 when
+    # every tuple is in the repeat set (n > k, or n = 1);
+    # OracleInfeasibleError when 2^n slot sets over them exceed the budget.
+    free = 0 if n == 1 else math.perm(k, n)  # repeat-free tuples
+    if not free:
+        return 0
+    rows = k**n - free
+    if 2**n * rows > _resolve_budget(budget):
+        raise OracleInfeasibleError(
+            f"2^{n} slot sets over {rows} repeat-set rows exceed the budget"
+        )
+    return rows
+
+
 def oracle_quasi_arity(f: FiniteFunction, budget: int | None = None) -> int:
     """Quasi-arity recomputed as the least essential arity of a total
     function that agrees with f on the repeat set.
@@ -182,14 +200,8 @@ def oracle_quasi_arity(f: FiniteFunction, budget: int | None = None) -> int:
     repeat-set rows.
     """
     k, n = f.k, f.n
-    free = 0 if n == 1 else math.perm(k, n)  # repeat-free tuples
-    if not free:
+    if not _repeat_rows_within_budget(k, n, budget):
         return _essential_count(k, n, f.table)
-    rows = f.size - free
-    if 2**n * rows > _resolve_budget(budget):
-        raise OracleInfeasibleError(
-            f"2^{n} slot sets over {rows} repeat-set rows exceed the budget"
-        )
     # The repeat set read off the tuples, not from the kernel's flags.
     repeat = [(t, v) for t, v in zip(all_tuples(k, n), f.table) if len(set(t)) < n]
     for m in range(n):
@@ -262,7 +274,7 @@ def gen_essentially_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFu
     For n > k the repeat set is the whole domain, so this is also the general
     form of a quasi-m-ary function there.
     """
-    table_entries(k, n)
+    _checked_size(k, n, b)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     rng = random.Random(seed)
@@ -288,7 +300,7 @@ def gen_quasi_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFunction
     and a binary function can never be quasi-binary; both impossibilities are
     rejected up front.
     """
-    table_entries(k, n)
+    _checked_size(k, n, b)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     if m < n and n > k:
@@ -314,7 +326,7 @@ def gen_quasi_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFunction
 def gen_oddsupp_determined(k: int, n: int, b: int, seed: int) -> FiniteFunction:
     """A function whose restriction to the repeat set factors through oddsupp
     via a nonconstant map, with quasi-arity n; repeat-free entries are random."""
-    table_entries(k, n)
+    _checked_size(k, n, b)
     if n < 4:
         raise ValueError(f"need arity >= 4, got {n}")
     reach = reachable_oddsupp_masks(k, n, restricted=True)
@@ -570,8 +582,9 @@ class TheoremCheck:
     A sweep runs the predicate only on functions that meet the hypotheses:
     `arity(k, n)` holds for the sweep's shape, every slot is essential when
     `all_essential` is set, and the quasi-arity is n when `quasi_full` is
-    set.  The predicate returns None for any further case the statement
-    leaves out.
+    set.  `within_budget(k, n)` raises OracleInfeasibleError when the
+    predicate's own search would exceed its budget at that shape.  The
+    predicate returns None for any further case the statement leaves out.
     """
 
     id: str
@@ -581,6 +594,7 @@ class TheoremCheck:
     needs_two_element_domain: bool = False  # k = 2 required
     _: KW_ONLY
     arity: Callable[[int, int], bool] = lambda k, n: True
+    within_budget: Callable[[int, int], object] = lambda k, n: None
     all_essential: bool = False
     quasi_full: bool = False
 
@@ -613,6 +627,7 @@ THEOREMS: dict[str, TheoremCheck] = {
             "L3.4",
             "quasi-arity equals the support-enumeration minimum",
             _check_quasi_arity_oracle,
+            within_budget=_repeat_rows_within_budget,
         ),
         TheoremCheck(
             "P4.2",
@@ -839,6 +854,10 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
         extras: list[FiniteFunction] = []
     else:
         total = spec.samples
+        # Whether the check's own search fits its budget depends on the
+        # shape alone, so an over-budget shape is refused before the
+        # samples and the witness battery are built.
+        check.within_budget(spec.k, spec.n)
         extras = constructed_witnesses(spec.k, spec.n, spec.b, spec.seed)
 
     sweep = partial(_sweep_range, spec)

@@ -152,6 +152,21 @@ def test_gen_quasi_contradiction(monkeypatch, capsys):
     assert "repeat-free" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "quasi", "--k", "3", "--n", "3", "--b", "1", "--m", "1"],
+        ["gen", "quasi", "--k", "3", "--n", "3", "--b", "1", "--m", "0"],
+        ["gen", "oddsupp", "--k", "3", "--n", "4", "--b", "1"],
+    ],
+    ids=["quasi-unary", "quasi-nullary", "oddsupp"],
+)
+def test_gen_checks_the_codomain_first(argv, monkeypatch, capsys):
+    assert run_cli(argv, "", monkeypatch, capsys) == (
+        2, "", "aritygap: codomain size b must be >= 2, got 1\n"
+    )
+
+
 def test_gen_pipes_into_classify(monkeypatch, capsys):
     code, out, _ = run_cli(["gen", "salomaa", "--k", "3"], "", monkeypatch, capsys)
     assert code == 0
@@ -244,12 +259,20 @@ def test_enumerate_has_no_jobs_flag(monkeypatch, capsys):
 
 
 def test_enumerate_budget_env(monkeypatch, capsys):
+    argv = ["enumerate", "--k", "2", "--n", "2", "--b", "2"]
     monkeypatch.setenv("ARITYGAP_BUDGET", "10")
-    code, _, err = run_cli(
-        ["enumerate", "--k", "2", "--n", "2", "--b", "2"], "", monkeypatch, capsys
-    )
+    code, _, err = run_cli(argv, "", monkeypatch, capsys)
     assert code == 1
     assert "budget" in err
+    # Only ASCII digits are a budget; an empty value means the default.
+    for value, code in (("16", 0), ("0016", 0), ("", 0), ("15", 1)):
+        monkeypatch.setenv("ARITYGAP_BUDGET", value)
+        assert run_cli(argv, "", monkeypatch, capsys)[0] == code, value
+    for value in ("abc", "-1", "+16", " 16", "16 ", "1e3", "1_000", "\u0663"):
+        monkeypatch.setenv("ARITYGAP_BUDGET", value)
+        assert run_cli(argv, "", monkeypatch, capsys) == (
+            2, "", f"aritygap: ARITYGAP_BUDGET must be a non-negative integer, got {value!r}\n"
+        )
 
 
 def test_verify_command(monkeypatch, capsys):
@@ -492,6 +515,9 @@ def _limited_address_space():
          "table would need 387420489 entries, over the 100000000 limit"),
         (["gen", "salomaa", "--k", "40"], 2,
          "table would need 40^40 entries, over the 100000000 limit"),
+        (["verify", "--theorem", "L3.4", "--k", "9", "--n", "7", "--b", "2",
+          "--samples", "1"], 1,
+         "2^7 slot sets over 4601529 repeat-set rows exceed the budget"),
     ],
     ids=[
         "enumerate-wide-table",
@@ -503,6 +529,7 @@ def _limited_address_space():
         "gen-oddsupp-wide-table",
         "gen-salomaa-computed",
         "gen-salomaa-power",
+        "verify-l34-over-budget",
     ],
 )
 def test_huge_function_space_is_refused_at_once(argv, expected, message):

@@ -262,6 +262,21 @@ def test_oracle_quasi_arity_agrees_exhaustive(k, n, b):
         assert oracle_quasi_arity(f) == quasi_arity(f)
 
 
+def test_oracle_quasi_arity_budget_is_refused_before_the_battery(monkeypatch):
+    # The L3.4 search size follows from k and n alone, so verify refuses an
+    # over-budget shape before it builds samples or witnesses.
+    built = []
+    monkeypatch.setattr(oracle, "constructed_witnesses", lambda *args: built.append(args) or [])
+    monkeypatch.setenv("ARITYGAP_BUDGET", "319")
+    message = r"^2\^3 slot sets over 40 repeat-set rows exceed the budget$"
+    with pytest.raises(OracleInfeasibleError, match=message):
+        verify(SweepSpec("L3.4", 4, 3, 2, "sampled", samples=50, seed=1))
+    assert built == []
+    monkeypatch.setenv("ARITYGAP_BUDGET", "320")
+    assert verify(SweepSpec("L3.4", 4, 3, 2, "sampled", samples=50, seed=1)).checked == 50
+    assert len(built) == 1
+
+
 def test_oracle_quasi_arity_agrees_sampled():
     rng = random.Random(21)
     for _ in range(60):
@@ -625,6 +640,20 @@ def test_generated_tables_check_their_shape(k, n, b, message):
         sampled_function(k, n, b, 0, 0)
     with pytest.raises(ValueError, match=message):
         functions_in_order(k, n, b, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_essentially_m_ary(3, 3, 1, 1, seed=0),
+        lambda: gen_quasi_m_ary(3, 3, 1, 1, seed=0),
+        lambda: gen_oddsupp_determined(3, 4, 1, seed=0),
+    ],
+    ids=["essentially-m-ary", "quasi-m-ary", "oddsupp-determined"],
+)
+def test_generators_check_the_codomain_before_drawing(make):
+    with pytest.raises(ValueError, match=r"^codomain size b must be >= 2, got 1$"):
+        make()
 
 
 def test_sampled_function_determinism():
