@@ -89,8 +89,9 @@ def _over_limit_message(k: int, n: int) -> str:
     return f"table would need {entries} entries, over the {MAX_TABLE_ENTRIES} limit"
 
 
-def _check_shape(k: int, n: int, b: int) -> None:
-    # The constructor's checks of k, n and b, made before a table is built.
+def _check_shape(k: int, n: int, b: int) -> int:
+    # k^n, the size of a table over k, n and b, after the only checks of k,
+    # n, b and the table limit, made in that order before a table is built.
     if k < 2:
         raise ValueError(f"domain size k must be >= 2, got {k}")
     if n < 1:
@@ -99,6 +100,7 @@ def _check_shape(k: int, n: int, b: int) -> None:
         raise ValueError(f"codomain size b must be >= 2, got {b}")
     if over_table_limit(k, n):
         raise ValueError(_over_limit_message(k, n))
+    return k**n
 
 
 def tuple_to_index(k: int, t: Sequence[int]) -> int:
@@ -133,8 +135,8 @@ class FiniteFunction:
 
     - ``parse_stream``, after checking the header and every value itself;
     - ``minors._substitute`` and ``minors.diagonal``, which gather entries of
-      an already valid table (``_substitute`` refuses an over-limit target
-      arity first);
+      an already valid table (``_substitute`` checks a wider target arity
+      with ``_check_shape`` first);
     - ``minors.identification_minor``, which copies slices of an already
       valid table of the same shape;
     - ``oracle.function_by_id``, whose entries are base-b digits,
@@ -142,7 +144,7 @@ class FiniteFunction:
       ``itertools.product(range(b), repeat=k**n)``, and
       ``oracle.sampled_function``, whose entries are the top bits of
       ``getrandbits`` words, kept below b as ``randrange(b)`` draws them;
-      all three check k, n and b first;
+      all three size their tables by ``_check_shape(k, n, b)`` first;
     - ``classify.classify_pseudo_boolean``, whose table ``h`` relabels the
       two values of a valid table over k = 2 as 0 and 1.
     """
@@ -153,8 +155,7 @@ class FiniteFunction:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        _check_shape(self.k, self.n, self.b)
-        size = self.k**self.n
+        size = _check_shape(self.k, self.n, self.b)
         if not isinstance(self.table, tuple):
             object.__setattr__(self, "table", tuple(self.table))
         if len(self.table) != size:
@@ -195,8 +196,7 @@ class FiniteFunction:
 
 
 def constant(k: int, n: int, b: int, value: int) -> FiniteFunction:
-    _check_shape(k, n, b)
-    return FiniteFunction(k, n, b, (value,) * (k**n))
+    return FiniteFunction(k, n, b, (value,) * _check_shape(k, n, b))
 
 
 def projection(k: int, n: int, t: int) -> FiniteFunction:

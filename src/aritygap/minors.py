@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .core import FiniteFunction, _over_limit_message, over_table_limit
+from .core import FiniteFunction, _check_shape
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ def _sigma_gather(k: int, m: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
 def _substitute(g: FiniteFunction, n: int, sigma: tuple[int, ...]) -> FiniteFunction:
     # The arity-n minor of g under an already valid sigma (g.n entries in 1..n).
     # A minor no wider than g fits the table limit because g does.
-    if n > g.n and over_table_limit(g.k, n):
-        raise ValueError(_over_limit_message(g.k, n))
+    if n > g.n:
+        _check_shape(g.k, n, g.b)
     return FiniteFunction._valid(g.k, n, g.b, _sigma_gather(g.k, g.n, n, sigma)(g.table))
 
 

@@ -25,7 +25,6 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .core import (
-    MAX_TABLE_ENTRIES,
     FiniteFunction,
     GapUndefinedError,
     OracleInfeasibleError,
@@ -34,7 +33,6 @@ from .core import (
     _check_shape,
     all_tuples,
     constant,
-    over_table_limit,
     projection,
     tuple_to_index,
 )
@@ -62,24 +60,6 @@ def _resolve_budget(budget: int | None) -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
-def table_entries(k: int, n: int) -> int:
-    """k^n, the size of one table over k and n; ValueError over MAX_TABLE_ENTRIES."""
-    if k < 2:
-        raise ValueError(f"domain size k must be >= 2, got {k}")
-    if n < 1:
-        raise ValueError(f"arity n must be >= 1, got {n}")
-    if over_table_limit(k, n):
-        raise ValueError(f"table would need {k}^{n} entries, over the {MAX_TABLE_ENTRIES} limit")
-    return k**n
-
-
-def _checked_size(k: int, n: int, b: int) -> int:
-    # table_entries(k, n) for a valid codomain size b.
-    if b < 2:
-        raise ValueError(f"codomain size b must be >= 2, got {b}")
-    return table_entries(k, n)
-
-
 def function_count(k: int, n: int, b: int, budget: int | None = None) -> int:
     """b^(k^n), the number of tables over k, n and b; OracleInfeasibleError
     over the budget.
@@ -87,7 +67,7 @@ def function_count(k: int, n: int, b: int, budget: int | None = None) -> int:
     The count exceeds the budget once k^n reaches the budget's bit length,
     so a count that large is named as a power, not computed.
     """
-    size = _checked_size(k, n, b)
+    size = _check_shape(k, n, b)
     budget = _resolve_budget(budget)
     if size >= budget.bit_length():
         raise OracleInfeasibleError(f"{b}^{size} tables exceed the budget {budget}")
@@ -262,8 +242,7 @@ def gen_salomaa(k: int) -> FiniteFunction:
     """
     if k < 2:
         raise ValueError(f"domain size must be >= 2, got {k}")
-    _check_shape(k, k, k)
-    table = [0] * k**k
+    table = [0] * _check_shape(k, k, k)
     table[tuple_to_index(k, tuple(range(k)))] = 1
     return FiniteFunction(k, k, k, tuple(table))
 
@@ -274,7 +253,7 @@ def gen_essentially_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFu
     For n > k the repeat set is the whole domain, so this is also the general
     form of a quasi-m-ary function there.
     """
-    _checked_size(k, n, b)
+    _check_shape(k, n, b)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     rng = random.Random(seed)
@@ -300,7 +279,7 @@ def gen_quasi_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFunction
     and a binary function can never be quasi-binary; both impossibilities are
     rejected up front.
     """
-    _checked_size(k, n, b)
+    _check_shape(k, n, b)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     if m < n and n > k:
@@ -326,7 +305,7 @@ def gen_quasi_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFunction
 def gen_oddsupp_determined(k: int, n: int, b: int, seed: int) -> FiniteFunction:
     """A function whose restriction to the repeat set factors through oddsupp
     via a nonconstant map, with quasi-arity n; repeat-free entries are random."""
-    _checked_size(k, n, b)
+    _check_shape(k, n, b)
     if n < 4:
         raise ValueError(f"need arity >= 4, got {n}")
     reach = reachable_oddsupp_masks(k, n, restricted=True)
@@ -709,7 +688,7 @@ THEOREMS: dict[str, TheoremCheck] = {
 def function_by_id(k: int, n: int, b: int, ident: int) -> FiniteFunction:
     """The ident-th function in the canonical enumeration: the table read as a
     big-endian base-b numeral.  `functions_in_order` walks a range of ids."""
-    size = _checked_size(k, n, b)
+    size = _check_shape(k, n, b)
     table = [0] * size
     for pos in range(size - 1, -1, -1):
         ident, table[pos] = divmod(ident, b)
@@ -724,7 +703,7 @@ def functions_in_order(k: int, n: int, b: int, lo: int, hi: int) -> Iterator[Fin
     itertools.product over range(b) counts through the big-endian base-b
     numerals, so its i-th tuple is the table of id i.
     """
-    size = _checked_size(k, n, b)
+    size = _check_shape(k, n, b)
     tables = itertools.islice(itertools.product(range(b), repeat=size), lo, hi)
     return map(partial(FiniteFunction._valid, k, n, b), tables)
 
@@ -760,7 +739,7 @@ def _sampled_table(rng: random.Random, size: int, b: int) -> tuple[int, ...]:
 def sampled_function(k: int, n: int, b: int, seed: int | None, index: int) -> FiniteFunction:
     """Sample `index` at `seed`: its k^n entries are successive
     randrange(b) draws from random.Random(f"{seed}:{index}")."""
-    size = _checked_size(k, n, b)
+    size = _check_shape(k, n, b)
     rng = random.Random(f"{seed}:{index}")
     return FiniteFunction._valid(k, n, b, _sampled_table(rng, size, b))
 
@@ -844,7 +823,7 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
         raise UnsupportedCodomainError(f"{spec.theorem} needs b = k")
     if check.needs_two_element_domain and spec.k != 2:
         raise UnsupportedDomainError(f"{spec.theorem} is about two-element domains")
-    table_entries(spec.k, spec.n)
+    _check_shape(spec.k, spec.n, spec.b)
     start = time.perf_counter()
     if spec.mode == "exhaustive":
         try:

@@ -491,6 +491,10 @@ def _limited_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+# The one over-limit message, with k^n written out below n = 27.
+TEN_TO_THE_NINE = "table would need 1000000000 entries, over the 100000000 limit"
+
+
 @pytest.mark.parametrize(
     "argv, expected, message",
     [
@@ -500,7 +504,7 @@ def _limited_address_space():
          "2^1048576 tables exceed the budget 10000000"),
         (["verify", "--theorem", "T4.4", "--k", "10", "--n", "12", "--b", "2",
           "--samples", "1"], 2,
-         "table would need 10^12 entries, over the 100000000 limit"),
+         "table would need 1000000000000 entries, over the 100000000 limit"),
         (["verify", "--theorem", "T4.1", "--k", "2", "--n", "64", "--b", "2",
           "--exhaustive"], 2,
          "table would need 2^64 entries, over the 100000000 limit"),
@@ -518,6 +522,13 @@ def _limited_address_space():
         (["verify", "--theorem", "L3.4", "--k", "9", "--n", "7", "--b", "2",
           "--samples", "1"], 1,
          "2^7 slot sets over 4601529 repeat-set rows exceed the budget"),
+        (["enumerate", "--k", "10", "--n", "9", "--b", "2"], 2, TEN_TO_THE_NINE),
+        (["gen", "quasi", "--k", "10", "--n", "9", "--b", "2", "--m", "9"], 2,
+         TEN_TO_THE_NINE),
+        (["verify", "--theorem", "T4.4", "--k", "10", "--n", "9", "--b", "2",
+          "--samples", "1"], 2, TEN_TO_THE_NINE),
+        (["verify", "--theorem", "T4.1", "--k", "10", "--n", "9", "--b", "2",
+          "--exhaustive"], 2, TEN_TO_THE_NINE),
     ],
     ids=[
         "enumerate-wide-table",
@@ -530,6 +541,10 @@ def _limited_address_space():
         "gen-salomaa-computed",
         "gen-salomaa-power",
         "verify-l34-over-budget",
+        "enumerate-computed",
+        "gen-quasi-computed",
+        "verify-sampled-computed",
+        "verify-exhaustive-computed",
     ],
 )
 def test_huge_function_space_is_refused_at_once(argv, expected, message):

@@ -13,6 +13,7 @@ import pytest
 
 import aritygap
 from aritygap import oracle
+from aritygap.core import _check_shape
 from aritygap.oracle import THEOREMS
 from aritygap import (
     FiniteFunction,
@@ -84,6 +85,28 @@ def test_constructor_refuses_a_huge_arity_at_once():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
     )
     assert done.stdout == "table would need 3^100000000 entries, over the 100000000 limit\n"
+
+
+def test_check_shape_limit():
+    # k^n below n = 27 is written out; from there on 2^n alone is over the
+    # limit, so k^n is named as a power and never computed.
+    assert _check_shape(10, 8, 2) == 10**8
+    assert _check_shape(2, 26, 2) == 2**26
+    limit = "entries, over the 100000000 limit$"
+    for k, n, entries in ((10, 9, "1000000000"), (2, 27, r"2\^27"), (2, 10**18, rf"2\^{10**18}")):
+        with pytest.raises(ValueError, match=f"^table would need {entries} {limit}"):
+            _check_shape(k, n, 2)
+    # k, then n, then b, then the limit: the first bad value is the one named.
+    for k, n, b, message in (
+        (1, 3, 2, "domain size k must be >= 2, got 1"),
+        (2, 0, 2, "arity n must be >= 1, got 0"),
+        (2, 2, 1, "codomain size b must be >= 2, got 1"),
+        (1, 0, 1, "domain size k must be >= 2, got 1"),
+        (2, 0, 1, "arity n must be >= 1, got 0"),
+        (10, 9, 1, "codomain size b must be >= 2, got 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _check_shape(k, n, b)
 
 
 def test_immutable():
@@ -219,6 +242,23 @@ def test_hypotheses_retries_and_repeat_flags_live_in_one_place():
     sources = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
     assert sum(text.count("range(GENERATOR_ATTEMPTS)") for text in sources.values()) == 1
     assert [name for name, text in sources.items() if "_repeat_flags" in text] == ["analysis.py"]
+
+
+def test_table_shape_rule_lives_in_core():
+    # core._check_shape is the one check of k, n, b and the table limit.
+    src = Path(__file__).resolve().parents[1] / "src" / "aritygap"
+    sources = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    for name in ("MAX_TABLE_ENTRIES", "over_table_limit", "_over_limit_message"):
+        assert [f for f, text in sources.items() if re.search(rf"\b{name}\b", text)] == [
+            "core.py"
+        ], name
+    defined = {
+        node.name
+        for text in sources.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert {"table_entries", "_checked_size"} & defined == set()
 
 
 def test_oracle_decides_essentiality_on_its_own():

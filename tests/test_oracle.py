@@ -47,7 +47,6 @@ from aritygap.oracle import (
     function_count,
     functions_in_order,
     sampled_function,
-    table_entries,
 )
 
 XOR2 = FiniteFunction(2, 2, 2, (0, 1, 1, 0))
@@ -494,17 +493,6 @@ def test_function_count_against_the_budget():
         function_count(2, 20, 2)
     with pytest.raises(ValueError, match="codomain size"):
         function_count(2, 26, -3)
-
-
-def test_table_entries_limit():
-    assert table_entries(10, 8) == 10**8
-    for k, n in ((10, 9), (2, 27), (2, 10**18)):
-        with pytest.raises(ValueError, match=f"^table would need {k}\\^{n} entries"):
-            table_entries(k, n)
-    with pytest.raises(ValueError, match="domain size"):
-        table_entries(1, 3)
-    with pytest.raises(ValueError, match="arity"):
-        table_entries(2, 0)
 
 
 def test_verify_validates_parameters():
