@@ -279,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
         code = _COMMANDS[args.command](args, out)
         out.write("")  # a command that wrote nothing still leaves an empty --out file
         return code
-    except FunctionFormatError as exc:
-        print(f"aritygap: {exc}", file=sys.stderr)
-        return 2
     except core.ArityGapError as exc:
         print(f"aritygap: {exc}", file=sys.stderr)
         return 1

@@ -308,9 +308,9 @@ def gen_oddsupp_determined(k: int, n: int, b: int, seed: int) -> FiniteFunction:
     _check_shape(k, n, b)
     if n < 4:
         raise ValueError(f"need arity >= 4, got {n}")
+    # At n >= 4 the tuples 0...0 and 1 0...0 both repeat and differ in
+    # oddsupp, so at least two masks are reachable.
     reach = reachable_oddsupp_masks(k, n, restricted=True)
-    if len(reach) < 2:
-        raise ValueError("fewer than two reachable oddsupp values, no nonconstant map")
     rng = random.Random(seed)
     masks = _oddsupp_masks(k, n)
 
@@ -561,8 +561,8 @@ class TheoremCheck:
     A sweep runs the predicate only on functions that meet the hypotheses:
     `arity(k, n)` holds for the sweep's shape, every slot is essential when
     `all_essential` is set, and the quasi-arity is n when `quasi_full` is
-    set.  `within_budget(k, n)` raises OracleInfeasibleError when the
-    predicate's own search would exceed its budget at that shape.  The
+    set.  `within_budget(k, n, budget)` raises OracleInfeasibleError when
+    the predicate's own search would exceed the budget at that shape.  The
     predicate returns None for any further case the statement leaves out.
     """
 
@@ -573,7 +573,7 @@ class TheoremCheck:
     needs_two_element_domain: bool = False  # k = 2 required
     _: KW_ONLY
     arity: Callable[[int, int], bool] = lambda k, n: True
-    within_budget: Callable[[int, int], object] = lambda k, n: None
+    within_budget: Callable[[int, int, int | None], object] = lambda k, n, budget: None
     all_essential: bool = False
     quasi_full: bool = False
 
@@ -810,8 +810,14 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
     """Run one named check over the requested function space.
 
     checked counts the functions that meet the hypotheses declared on the
-    TheoremCheck and get a verdict from its predicate; failures are reported sorted by table and must reproduce when replayed.
-    `jobs` must be at least 1 and is capped at the CPU count.
+    TheoremCheck and get a verdict from its predicate; failures are reported
+    sorted by table and must reproduce when replayed.  `jobs` must be at
+    least 1 and is capped at the CPU count.
+
+    `budget` bounds the exhaustive enumeration and the check's
+    `within_budget` refusal.  The predicate's own search (L3.4's
+    `oracle_quasi_arity(f)`) still resolves ARITYGAP_BUDGET or the default,
+    so a budget above that one still ends in the oracle's refusal.
     """
     if spec.theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id {spec.theorem!r}")
@@ -836,7 +842,7 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
         # Whether the check's own search fits its budget depends on the
         # shape alone, so an over-budget shape is refused before the
         # samples and the witness battery are built.
-        check.within_budget(spec.k, spec.n)
+        check.within_budget(spec.k, spec.n, budget)
         extras = constructed_witnesses(spec.k, spec.n, spec.b, spec.seed)
 
     sweep = partial(_sweep_range, spec)

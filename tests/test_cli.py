@@ -175,6 +175,51 @@ def test_gen_pipes_into_classify(monkeypatch, capsys):
     assert out == "gap=3 tag=QuasiNullary m=0\n"
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize(
+    "pipeline, output",
+    [
+        ("aritygap analyze --in xor2.fn", "ess=2 qa=0 essl=0 gap=2 pair=1,2"),
+        ("aritygap gen salomaa --k 3 | aritygap classify", "gap=3 tag=QuasiNullary m=0"),
+        (
+            "aritygap verify --theorem T4.4 --k 3 --n 5 --b 2 --samples 1000 --seed 7",
+            "theorem=T4.4 checked=1002 failures=0 seed=7",
+        ),
+    ],
+)
+def test_readme_cli_outputs(pipeline, output, tmp_path, monkeypatch, capsys):
+    # The README shows each command with its output on the next line.
+    assert f"{pipeline}\n# {output}\n" in README.read_text()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "xor2.fn").write_text(XOR2_TEXT)
+    text = ""
+    for command in pipeline.split(" | "):
+        code, text, err = run_cli(command.split()[1:], text, monkeypatch, capsys)
+        assert (code, err) == (0, "")
+    assert text == output + "\n"
+
+
+def test_readme_library_outputs():
+    # Each commented line of the README's library block, run as written.
+    block = README.read_text().split("```python\n")[1].split("```")[0]
+    scope = {}
+    exec(block, scope)
+    xor2, report = scope["xor2"], scope["report"]
+    fields = ("ess", "qa", "essl", "gap", "pair")
+    documented = {
+        code.strip(): comment
+        for code, _, comment in (line.partition("  # ") for line in block.splitlines())
+        if comment
+    }
+    assert documented == {
+        "report = arity_gap(xor2)": " ".join(f"{a}={getattr(report, a)}" for a in fields),
+        "classify(xor2).tag": repr(scope["classify"](xor2).tag),
+        "oracle_gap(xor2)": f"{scope['oracle_gap'](xor2)}, recomputed from all substitution minors",
+    }
+
+
 def test_gen_oddsupp(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["gen", "oddsupp", "--k", "3", "--n", "4", "--b", "2", "--seed", "4"],

@@ -16,15 +16,26 @@ from aritygap import oracle
 from aritygap.core import _check_shape
 from aritygap.oracle import THEOREMS
 from aritygap import (
+    DiagonalRestriction,
     FiniteFunction,
     FunctionFormatError,
+    MinorMap,
+    SweepSpec,
+    UnarySupport,
+    VariablePartition,
     all_tuples,
+    constant,
+    gen_essentially_m_ary,
+    gen_semiprojection,
+    gen_ternary_pattern,
     index_to_tuple,
     parse,
     parse_stream,
+    projection,
     render,
     render_line,
     tuple_to_index,
+    unique_unary_support,
 )
 
 AND2 = FiniteFunction(2, 2, 2, (0, 0, 0, 1))
@@ -70,6 +81,73 @@ def test_constructor_invariants():
         FiniteFunction(2, 2, 2, (0, 0, 0))
     with pytest.raises(ValueError):
         FiniteFunction(2, 2, 2, (0, 0, 0, 2))
+
+
+NOT1 = FiniteFunction(2, 1, 2, (1, 0))
+CONST1 = constant(3, 1, 2, 1)
+
+
+def _outcome(call):
+    # What call() returns, or the type and message of what it raises.
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: MinorMap(0, 2, ()), (ValueError, "arities must be >= 1")),
+        (lambda: MinorMap(2, 0, (1, 1)), (ValueError, "arities must be >= 1")),
+        (lambda: MinorMap(2, 2, [2, 1]).sigma, (2, 1)),
+        (lambda: VariablePartition(2, ((1, 2), ())), (ValueError, "empty block")),
+        (lambda: projection(2, 2, 3), (ValueError, "projection slot 3 not in 1..2")),
+        (lambda: projection(2, 2, 0), (ValueError, "projection slot 0 not in 1..2")),
+        (lambda: FiniteFunction(2, 1, 2, [1, 0]).table, (1, 0)),
+        (
+            lambda: gen_essentially_m_ary(2, 2, 2, 3, seed=0),
+            (ValueError, "need 0 <= m <= n, got m=3, n=2"),
+        ),
+        (
+            lambda: gen_essentially_m_ary(2, 2, 2, -1, seed=0),
+            (ValueError, "need 0 <= m <= n, got m=-1, n=2"),
+        ),
+        (
+            lambda: gen_ternary_pattern(3, (0, 2, 0), seed=0),
+            (ValueError, "pattern bits must be 0 or 1, got (0, 2, 0)"),
+        ),
+        (lambda: gen_semiprojection(3, 3, 4, seed=0), (ValueError, "slot 4 not in 1..3")),
+        (lambda: gen_semiprojection(3, 3, 0, seed=0), (ValueError, "slot 0 not in 1..3")),
+        (
+            lambda: SweepSpec("T4.1", 2, 2, 2, "random"),
+            (ValueError, "unknown mode 'random'"),
+        ),
+        (lambda: unique_unary_support(NOT1), UnarySupport((NOT1,), (1,), False)),
+        (lambda: unique_unary_support(CONST1), UnarySupport((CONST1,), (), False)),
+        (lambda: [DiagonalRestriction(NOT1).contains(t) for t in ((0,), (1,))], [True, True]),
+    ],
+    ids=[
+        "minor-map-source-arity",
+        "minor-map-target-arity",
+        "minor-map-list-sigma",
+        "partition-empty-block",
+        "projection-slot-high",
+        "projection-slot-low",
+        "function-list-table",
+        "essentially-m-ary-m-high",
+        "essentially-m-ary-m-low",
+        "ternary-pattern-bits",
+        "semiprojection-slot-high",
+        "semiprojection-slot-low",
+        "sweep-mode",
+        "unary-support-unary",
+        "unary-support-constant",
+        "diagonal-restriction-unary",
+    ],
+)
+def test_argument_checks(call, expected):
+    assert _outcome(call) == expected
 
 
 def test_constructor_refuses_a_huge_arity_at_once():
@@ -151,6 +229,10 @@ def test_parse_bad_header():
 def test_parse_comments_and_multiline():
     text = "# conjunction\n2 2 2\n0 0\n0 1\n"
     assert parse(text) == AND2
+    # A '#' opening a line or a ';'-part ends the line; elsewhere it is a token.
+    assert parse("2 2 2;  # rest of the line; 1 1 1 1\n0 0 0 1") == AND2
+    with pytest.raises(FunctionFormatError, match=r"^line 1, col 7: table value: '#'"):
+        parse("2 1 2 # x\n0 1\n")
 
 
 def test_parse_single_line_variant():

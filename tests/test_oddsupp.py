@@ -163,6 +163,18 @@ def test_reachable_mask_count_formula(k, n):
         assert len(restricted) == expected_r
 
 
+def test_oddsupp_witnesses_always_have_two_masks_to_map():
+    # gen_oddsupp_determined needs a nonconstant map on the reachable masks:
+    # at n >= 4 both 0...0 and 1 0...0 repeat a coordinate and differ in
+    # oddsupp, so two masks are always reachable.
+    shapes = [(k, n) for k in range(2, 8) for n in range(4, 9) if k**n <= 3 * 10**5]
+    assert len(shapes) == 26
+    for k, n in shapes:
+        reach = reachable_oddsupp_masks(k, n, restricted=True)
+        ends = {oddsupp_mask((0,) * n), oddsupp_mask((1,) + (0,) * (n - 1))}
+        assert len(ends) == 2 and ends <= set(reach), (k, n)
+
+
 def test_witness_pairs_stay_on_repeat_set_when_restricted():
     # doctor a function whose repeat-set fibers clash
     def fn(t):

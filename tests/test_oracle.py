@@ -276,6 +276,18 @@ def test_oracle_quasi_arity_budget_is_refused_before_the_battery(monkeypatch):
     assert len(built) == 1
 
 
+def test_verify_budget_reaches_the_quasi_arity_bound(monkeypatch):
+    # The budget given to verify, not only ARITYGAP_BUDGET, bounds L3.4's
+    # search: (4,3) needs 2^3 slot sets over 40 repeat-set rows.
+    monkeypatch.delenv("ARITYGAP_BUDGET", raising=False)
+    spec = SweepSpec("L3.4", 4, 3, 2, "sampled", samples=50, seed=1)
+    message = r"^2\^3 slot sets over 40 repeat-set rows exceed the budget$"
+    for budget in (10, 319):
+        with pytest.raises(OracleInfeasibleError, match=message):
+            verify(spec, budget=budget)
+    assert verify(spec, budget=320).checked == 63
+
+
 def test_oracle_quasi_arity_agrees_sampled():
     rng = random.Random(21)
     for _ in range(60):
@@ -584,10 +596,14 @@ def test_symmetry_of_gap_two_checks_every_gap_two_input(monkeypatch, k, n, b):
     inputs = [parity] + [gen_oddsupp_determined(k, n, b, seed) for seed in range(9)]
     spec = SweepSpec("T6.1", k, n, b, "sampled", samples=0)
     assert oracle._check_each(spec, inputs) == (len(inputs), [])
-    monkeypatch.setattr(oracle, "is_restriction_totally_symmetric", lambda f: False)
-    checked, failures = oracle._check_each(spec, inputs)
-    assert checked == len(inputs)
-    assert failures == [f.table for f in inputs]
+    every_input_fails = (len(inputs), [f.table for f in inputs])
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "is_restriction_totally_symmetric", lambda f: False)
+        assert oracle._check_each(spec, inputs) == every_input_fails
+    # With the symmetry test passing, a minor that keeps every slot must
+    # fail the (n-2)-ary minor check.
+    monkeypatch.setattr(oracle, "identification_minor", lambda f, i, j: f)
+    assert oracle._check_each(spec, inputs) == every_input_fails
 
 
 def test_failures_replay(monkeypatch):
