@@ -21,7 +21,6 @@ reports).  ``render`` always emits the two-line form.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import re
 from dataclasses import dataclass
@@ -29,9 +28,6 @@ from typing import Callable, Iterator, Sequence
 
 # Guard against absurd table sizes before allocating anything.
 MAX_TABLE_ENTRIES = 10**8
-# 2^n alone exceeds MAX_TABLE_ENTRIES once n reaches this, so k^n is never
-# computed for a larger n.
-_LIMIT_BITS = MAX_TABLE_ENTRIES.bit_length()
 
 
 class ArityGapError(Exception):
@@ -78,17 +74,6 @@ class FunctionFormatError(ValueError):
         super().__init__(where + message)
 
 
-def over_table_limit(k: int, n: int) -> bool:
-    """Whether a table over a domain of k >= 2 elements and arity n needs more
-    than MAX_TABLE_ENTRIES entries; k^n is computed only when n is small."""
-    return n >= _LIMIT_BITS or k**n > MAX_TABLE_ENTRIES
-
-
-def _over_limit_message(k: int, n: int) -> str:
-    entries = f"{k}^{n}" if n >= _LIMIT_BITS else k**n
-    return f"table would need {entries} entries, over the {MAX_TABLE_ENTRIES} limit"
-
-
 def _check_shape(k: int, n: int, b: int) -> int:
     # k^n, the size of a table over k, n and b, after the only checks of k,
     # n, b and the table limit, made in that order before a table is built.
@@ -98,8 +83,12 @@ def _check_shape(k: int, n: int, b: int) -> int:
         raise ValueError(f"arity n must be >= 1, got {n}")
     if b < 2:
         raise ValueError(f"codomain size b must be >= 2, got {b}")
-    if over_table_limit(k, n):
-        raise ValueError(_over_limit_message(k, n))
+    # 2^n alone is over the limit once n reaches its bit length, so from
+    # there on k^n is written as a power and never computed.
+    power = n >= MAX_TABLE_ENTRIES.bit_length()
+    if power or k**n > MAX_TABLE_ENTRIES:
+        entries = f"{k}^{n}" if power else k**n
+        raise ValueError(f"table would need {entries} entries, over the {MAX_TABLE_ENTRIES} limit")
     return k**n
 
 
@@ -212,36 +201,25 @@ def from_function(k: int, n: int, b: int, fn: Callable[[tuple[int, ...]], int]) 
     return FiniteFunction(k, n, b, tuple(fn(t) for t in all_tuples(k, n)))
 
 
-_TOKEN = re.compile(r"\S+")
-
-
 def parse_stream(text: str) -> list[FiniteFunction]:
     """Parse a concatenation of zero or more functions in the text format.
 
-    An error names the line and column of the first offending token.
+    The whole text is checked before any function is returned.  An error
+    names the line and column of the first offending token.
     """
-    # Every token in order and, for each line part holding tokens, its first
-    # token's index, its line number and its text.  ';' acts as a line
-    # separator so the compact one-line form parses too.
-    words: list[str] = []
-    firsts: list[int] = []
-    parts: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        for part in raw.split(";"):
-            if part.lstrip().startswith("#"):
-                break
-            split = part.split()
-            if split:
-                firsts.append(len(words))
-                parts.append((lineno, part))
-                words += split
+    # ';' separates words as a newline does, so the compact one-line form
+    # parses too; a '#' that starts a line or a ';'-part, after optional
+    # spaces, ends that line.
+    if "#" in text:
+        text = re.sub(r"(?:^|;)[^\S\n]*#.*", "", text, flags=re.MULTILINE)
+    words = text.replace(";", " ").split()
 
     def error(message: str, pos: int) -> FunctionFormatError:
-        # Located only when raised: the column of token pos within its part.
-        p = bisect.bisect_right(firsts, pos) - 1
-        lineno, part = parts[p]
-        token = next(itertools.islice(_TOKEN.finditer(part), pos - firsts[p], None))
-        return FunctionFormatError(message, lineno, token.start() + 1)
+        # Located only when raised: word pos, its line, and its column after
+        # the last '\n' or ';' before it.
+        start = next(itertools.islice(re.finditer(r"[^\s;]+", text), pos, None)).start()
+        column = start - max(text.rfind("\n", 0, start), text.rfind(";", 0, start))
+        return FunctionFormatError(message, text.count("\n", 0, start) + 1, column)
 
     def integer(pos: int, what: str) -> int:
         try:
@@ -261,9 +239,10 @@ def parse_stream(text: str) -> list[FiniteFunction]:
             raise error(
                 f"invalid header 'k n b' = '{k} {n} {b}' (need k >= 2, n >= 1, b >= 2)", pos
             )
-        if over_table_limit(k, n):
-            raise error(_over_limit_message(k, n), pos)
-        size = k**n
+        try:
+            size = _check_shape(k, n, b)
+        except ValueError as exc:
+            raise error(str(exc), pos) from None
         lo = pos + 3
         chunk = words[lo : lo + size]
         try:

@@ -327,20 +327,25 @@ def test_hypotheses_retries_and_repeat_flags_live_in_one_place():
 
 
 def test_table_shape_rule_lives_in_core():
-    # core._check_shape is the one check of k, n, b and the table limit.
+    # core._check_shape is the one check of k, n, b and the table limit:
+    # MAX_TABLE_ENTRIES is named only where it is defined and in that check,
+    # and no other helper computes or words the limit.
     src = Path(__file__).resolve().parents[1] / "src" / "aritygap"
     sources = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
-    for name in ("MAX_TABLE_ENTRIES", "over_table_limit", "_over_limit_message"):
-        assert [f for f, text in sources.items() if re.search(rf"\b{name}\b", text)] == [
-            "core.py"
-        ], name
-    defined = {
-        node.name
-        for text in sources.values()
-        for node in ast.walk(ast.parse(text))
-        if isinstance(node, ast.FunctionDef)
-    }
-    assert {"table_entries", "_checked_size"} & defined == set()
+    for name in ("over_table_limit", "_over_limit_message", "table_entries", "_checked_size"):
+        assert [f for f, text in sources.items() if re.search(rf"\b{name}\b", text)] == [], name
+    limit = re.compile(r"\bMAX_TABLE_ENTRIES\b")
+    assert [f for f, text in sources.items() if limit.search(text)] == ["core.py"]
+    core = sources["core.py"]
+    check = next(
+        node
+        for node in ast.parse(core).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_shape"
+    )
+    outside = core.replace(ast.get_source_segment(core, check), "")
+    assert [line for line in outside.splitlines() if limit.search(line)] == [
+        "MAX_TABLE_ENTRIES = 10**8"
+    ]
 
 
 def test_oracle_decides_essentiality_on_its_own():

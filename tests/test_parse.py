@@ -15,7 +15,7 @@ from typing import Iterator
 from hypothesis import given, settings, strategies as st
 
 from aritygap import FiniteFunction, FunctionFormatError, parse, parse_stream, render, render_line
-from aritygap.core import _over_limit_message, over_table_limit
+from aritygap.core import _check_shape
 from test_substitution import PROFILE, functions
 
 FUZZ = settings(derandomize=True, max_examples=400, deadline=None)
@@ -61,8 +61,10 @@ def reference_parse_stream(text: str) -> list[FiniteFunction]:
                 header[0][1],
                 header[0][2],
             )
-        if over_table_limit(k, n):
-            raise FunctionFormatError(_over_limit_message(k, n), header[0][1], header[0][2])
+        try:
+            _check_shape(k, n, b)
+        except ValueError as exc:
+            raise FunctionFormatError(str(exc), header[0][1], header[0][2]) from None
         size = k**n
         values = []
         last = header[2]
@@ -79,8 +81,10 @@ def reference_parse_stream(text: str) -> list[FiniteFunction]:
         out.append(FiniteFunction(k, n, b, tuple(values)))
 
 
-ALPHABET = "0123456789-+_x#; \t\n\r"
-SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", ";", " ; ", "\n# note 1 2\n", ";#x\n")
+# The last seven characters are whitespace to both str.split() and re's \s
+# without being '\n': the parser relies on those two agreeing.
+ALPHABET = "0123456789-+_x#; \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"
+SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", ";", " ; ", "\n# note 1 2\n", ";#x\n", " ;\t# c\n")
 # Twos and threes make most headers valid; the rest are values or near-misses.
 WORDS = ("2", "2", "2", "3", "3", "1", "1", "0", "0", "4", "-1", "+1", "1_0", "_1", "x", "0x1", "00", "27")
 
