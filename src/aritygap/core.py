@@ -13,10 +13,13 @@ Text interchange format (UTF-8), used by every CLI command:
     rest:    k^n codomain values in index order, whitespace separated,
              optionally spread over several lines
 
-Lines starting with ``#`` are ignored.  A compact single-line variant with
-``;`` standing in for the newline after the header is also accepted by
-``parse`` (it is the form used for failure records in verification
-reports).  ``render`` always emits the two-line form.
+A ``#`` that starts a line, or starts a ``;``-part of one, after optional
+spaces, makes the rest of that line a comment; a ``#`` anywhere else is a
+bad token.  A compact single-line variant with ``;`` standing in for the
+newline after the header is also accepted by ``parse`` (it is the form used
+for failure records in verification reports).  ``render`` always emits the
+two-line form.  A stream is validated as a whole before any function is
+returned, so one bad token anywhere rejects all of it.
 """
 
 from __future__ import annotations

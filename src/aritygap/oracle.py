@@ -240,8 +240,6 @@ def gen_salomaa(k: int) -> FiniteFunction:
     All k slots are essential, while identifying any two of them yields a
     constant, so the gap is the full domain size k.
     """
-    if k < 2:
-        raise ValueError(f"domain size must be >= 2, got {k}")
     table = [0] * _check_shape(k, k, k)
     table[tuple_to_index(k, tuple(range(k)))] = 1
     return FiniteFunction(k, k, k, tuple(table))
@@ -825,11 +823,11 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     check = THEOREMS[spec.theorem]
+    _check_shape(spec.k, spec.n, spec.b)
     if check.needs_operation and spec.b != spec.k:
         raise UnsupportedCodomainError(f"{spec.theorem} needs b = k")
     if check.needs_two_element_domain and spec.k != 2:
         raise UnsupportedDomainError(f"{spec.theorem} is about two-element domains")
-    _check_shape(spec.k, spec.n, spec.b)
     start = time.perf_counter()
     if spec.mode == "exhaustive":
         try:

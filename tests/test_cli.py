@@ -574,6 +574,12 @@ TEN_TO_THE_NINE = "table would need 1000000000 entries, over the 100000000 limit
           "--samples", "1"], 2, TEN_TO_THE_NINE),
         (["verify", "--theorem", "T4.1", "--k", "10", "--n", "9", "--b", "2",
           "--exhaustive"], 2, TEN_TO_THE_NINE),
+        (["verify", "--theorem", "T5.1", "--k", "1", "--n", "2", "--b", "2",
+          "--exhaustive"], 2, "domain size k must be >= 2, got 1"),
+        (["verify", "--theorem", "SWIER", "--k", "3", "--n", "4", "--b", "1",
+          "--samples", "5"], 2, "codomain size b must be >= 2, got 1"),
+        (["verify", "--theorem", "SWIER", "--k", "3", "--n", "40", "--b", "2",
+          "--samples", "1"], 2, "table would need 3^40 entries, over the 100000000 limit"),
     ],
     ids=[
         "enumerate-wide-table",
@@ -590,6 +596,9 @@ TEN_TO_THE_NINE = "table would need 1000000000 entries, over the 100000000 limit
         "gen-quasi-computed",
         "verify-sampled-computed",
         "verify-exhaustive-computed",
+        "verify-small-domain-before-theorem-domain",
+        "verify-small-codomain-before-b-equals-k",
+        "verify-wide-table-before-b-equals-k",
     ],
 )
 def test_huge_function_space_is_refused_at_once(argv, expected, message):
@@ -641,11 +650,12 @@ def test_huge_library_table_is_refused_at_once():
 
 
 def test_gen_salomaa_rejects_small_domain(monkeypatch, capsys):
-    assert run_cli(["gen", "salomaa", "--k", "1"], "", monkeypatch, capsys) == (
-        2,
-        "",
-        "aritygap: domain size must be >= 2, got 1\n",
-    )
+    for k in ("1", "0", "-3"):
+        assert run_cli(["gen", "salomaa", "--k", k], "", monkeypatch, capsys) == (
+            2,
+            "",
+            f"aritygap: domain size k must be >= 2, got {k}\n",
+        )
 
 
 @pytest.mark.parametrize(
@@ -672,6 +682,29 @@ def test_huge_table_is_refused_at_once(argv, text, message):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == f"aritygap: {message}, over the 100000000 limit\n"
+
+
+def test_stream_input_memory_stays_near_its_size(tmp_path):
+    # oddsupp-check on the 6 MiB (3,2,4) enumeration, 262,144 functions: the
+    # peak RSS the run adds to a fresh interpreter must stay within 30 times
+    # the file size (ru_maxrss is in KiB on Linux and in bytes on macOS).
+    path = tmp_path / "e324.fn"
+    assert main(["enumerate", "--k", "3", "--n", "2", "--b", "4", "--out", str(path)]) == 0
+    script = (
+        "import os, resource, sys\n"
+        "from aritygap.cli import main\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "code = main(['oddsupp-check', '--in', sys.argv[1], '--out', os.devnull])\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(code, (after - before) * (1 if sys.platform == 'darwin' else 1024))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120
+    )
+    assert done.stderr == ""
+    code, grown = map(int, done.stdout.split())
+    assert code == 0
+    assert grown <= 30 * path.stat().st_size
 
 
 def test_constant_table_scan_stays_small():
