@@ -94,17 +94,16 @@ def _essential_count(k: int, n: int, table: Sequence[int]) -> int:
     return sum([_is_essential(k, n, table, slot) for slot in range(1, n + 1)])
 
 
-@lru_cache(maxsize=16)
-def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    # Every partition of {1..n} except the finest, as its lead sigma (slot s
-    # is fed from the least slot of its block), the most blocks first.  Slot
-    # by slot, a slot either joins the block of an earlier lead or opens a
-    # block of its own.
-    leads = [()]
-    for s in range(1, n + 1):
-        leads = [p + (t,) for p in leads for t in (*sorted(set(p)), s)]
-    leads.remove(tuple(range(1, n + 1)))
-    return tuple(sorted(leads, key=lambda p: -len(set(p))))
+@lru_cache(maxsize=64)
+def _partitions(n: int, blocks: int) -> tuple[tuple[int, ...], ...]:
+    # The partitions of {1..n} into exactly `blocks` blocks, as lead sigmas
+    # (slot s is fed from the least slot of its block).  Slot n either opens
+    # a block of its own or joins one of the blocks of {1..n-1}.
+    if not 0 < blocks < n:
+        return (tuple(range(1, n + 1)),) if blocks == n else ()
+    opened = (p + (n,) for p in _partitions(n - 1, blocks - 1))
+    joined = (p + (t,) for p in _partitions(n - 1, blocks) for t in sorted(set(p)))
+    return (*opened, *joined)
 
 
 @lru_cache(maxsize=8192)
@@ -127,10 +126,11 @@ def oracle_gap(f: FiniteFunction) -> int:
     slots (neither of which changes essential arity), from identifying the
     blocks of some partition of the slot set, so partitions are enumerated
     with duplicate tables skipped; minors with the full essential arity are
-    equivalent to f and excluded.  Partitions come finest first, and the
-    walk stops once a minor keeps ess - 1 slots (no strict minor keeps more)
-    or once the partitions left have no more blocks than the best minor has
-    essential slots (a minor over b blocks depends on at most b slots).
+    equivalent to f and excluded.  The partitions are walked one level at a
+    time, n - 1 blocks first.  The walk returns once a minor keeps ess - 1
+    slots (no strict minor keeps more), and stops before a level with no
+    more blocks than the best minor has essential slots (a minor over b
+    blocks depends on at most b slots).
     """
     ess = _essential_count(f.k, f.n, f.table)
     if ess < 2:
@@ -138,16 +138,19 @@ def oracle_gap(f: FiniteFunction) -> int:
     best = -1
     seen = set()
     gather = _lead_gather if f.size <= 1024 else _lead_gather.__wrapped__
-    for sigma in _partitions(f.n):
-        if best == ess - 1 or len(set(sigma)) <= best:
+    for blocks in range(f.n - 1, 0, -1):
+        if blocks <= best:
             break
-        table = gather(f.k, f.n, sigma)(f.table)
-        if table in seen:
-            continue
-        seen.add(table)
-        e = _essential_count(f.k, f.n, table)
-        if best < e < ess:
-            best = e
+        for sigma in _partitions(f.n, blocks):
+            table = gather(f.k, f.n, sigma)(f.table)
+            if table in seen:
+                continue
+            seen.add(table)
+            e = _essential_count(f.k, f.n, table)
+            if best < e < ess:
+                best = e
+                if best == ess - 1:
+                    return 1
     assert best >= 0
     return ess - best
 
@@ -456,32 +459,26 @@ def render_report(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _all_id_minor_tables(f: FiniteFunction) -> list[tuple[int, ...]]:
-    return [
-        identification_minor(f, i, j).table
-        for i in range(1, f.n + 1)
-        for j in range(1, f.n + 1)
-        if i != j
-    ]
-
-
-def _gap_of(f: FiniteFunction) -> int:
-    return arity_gap(f).gap
+def _id_minors(f: FiniteFunction) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    # (i, j, table of the minor identifying slot i with slot j), for every
+    # ordered pair of distinct slots in lexicographic order.
+    for i, j in itertools.permutations(range(1, f.n + 1), 2):
+        yield i, j, identification_minor(f, i, j).table
 
 
 def _check_minors_constant_iff_quasi_nullary(f: FiniteFunction) -> bool | None:
-    left = all(len(set(t)) == 1 for t in _all_id_minor_tables(f))
+    left = all(len(set(t)) == 1 for _, _, t in _id_minors(f))
     return left == (quasi_arity(f) == 0)
 
 
 def _check_minors_unary_iff_quasi_unary(f: FiniteFunction) -> bool | None:
-    left = all(_essential_count(f.k, f.n, t) == 1 for t in _all_id_minor_tables(f))
+    left = all(_essential_count(f.k, f.n, t) == 1 for _, _, t in _id_minors(f))
     return left == (quasi_arity(f) == 1)
 
 
 def _check_swierczkowski(f: FiniteFunction) -> bool | None:
     projections = [projection(f.k, f.n, t).table for t in range(1, f.n + 1)]
-    left = all(t in projections for t in _all_id_minor_tables(f))
+    left = all(t in projections for _, _, t in _id_minors(f))
     return left == (is_semiprojection(f) is not None)
 
 
@@ -493,17 +490,16 @@ def _check_gap_low_quasi_arity(f: FiniteFunction) -> bool | None:
     m = quasi_arity(f)
     if m >= f.n:
         return None
-    return _gap_of(f) == f.n - m
+    return arity_gap(f).gap == f.n - m
 
 
 def _check_gap_at_most_two(f: FiniteFunction) -> bool | None:
-    return _gap_of(f) <= 2
+    return arity_gap(f).gap <= 2
 
 
 def _check_gap_iff_quasi_arity(f: FiniteFunction) -> bool | None:
-    gap = _gap_of(f)
-    m_actual = quasi_arity(f)
-    return all((gap == f.n - m) == (m_actual == m) for m in range(f.n - 2))
+    r = arity_gap(f)  # all slots essential: r.qa is f's own quasi-arity
+    return all((r.gap == f.n - m) == (r.qa == m) for m in range(f.n - 2))
 
 
 def _check_pseudo_boolean_classifier(f: FiniteFunction) -> bool | None:
@@ -520,36 +516,31 @@ def _check_pseudo_boolean_classifier(f: FiniteFunction) -> bool | None:
 def _check_large_range_gap_one(f: FiniteFunction) -> bool | None:
     if len(set(f.table)) <= 2 ** (f.k - 1):
         return None
-    return _gap_of(f) == 1
+    return arity_gap(f).gap == 1
 
 
 def _check_symmetry_of_gap_two(f: FiniteFunction) -> bool | None:
-    if _gap_of(f) != 2:
+    if arity_gap(f).gap != 2:
         return None
     if not is_restriction_totally_symmetric(f):
         return False
     expect = set(range(1, f.n + 1))
-    for i in range(1, f.n + 1):
-        for j in range(1, f.n + 1):
-            if i == j:
-                continue
-            table = identification_minor(f, i, j).table
-            essential = {s for s in expect if _is_essential(f.k, f.n, table, s)}
-            if essential != expect - {i, j}:
-                return False
-    return True
+    return all(
+        {s for s in expect if _is_essential(f.k, f.n, t, s)} == expect - {i, j}
+        for i, j, t in _id_minors(f)
+    )
 
 
 def _check_gap_two_criterion(f: FiniteFunction) -> bool | None:
-    m = quasi_arity(f)
-    criterion = m == f.n - 2 or (
-        m == f.n and is_restriction_determined_by_oddsupp(f).determined
+    r = arity_gap(f)  # all slots essential: r.qa is f's own quasi-arity
+    criterion = r.qa == f.n - 2 or (
+        r.qa == f.n and is_restriction_determined_by_oddsupp(f).determined
     )
-    return (_gap_of(f) == 2) == criterion
+    return (r.gap == 2) == criterion
 
 
 def _check_gap_two_ternary(f: FiniteFunction) -> bool | None:
-    return (_gap_of(f) == 2) == (ternary_pattern(f) is not None)
+    return (arity_gap(f).gap == 2) == (ternary_pattern(f) is not None)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@ import importlib
 import itertools
 import pkgutil
 import random
+import resource
+import subprocess
+import sys
 from operator import itemgetter
 
 import pytest
@@ -216,6 +219,52 @@ def test_oracle_gap_builds_its_own_partition_minors(monkeypatch):
     monkeypatch.setattr(aritygap.minors, "_sigma_gather", faulty)
     assert answers() == before
     assert verify(SweepSpec("T5.1", 2, 3, 2, "exhaustive")).failures
+
+
+def _limited_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_oracle_gap_on_a_wide_random_table_fits_in_memory():
+    # A random (2,13) table has a minor that keeps ess - 1 slots among its
+    # first partitions; the walk must reach it without listing all
+    # Bell(13) - 1 of them, which would not fit in the child's 1 GiB.
+    script = (
+        "import random\n"
+        "from aritygap import FiniteFunction, oracle_gap\n"
+        "rng = random.Random(13)\n"
+        "print(oracle_gap(FiniteFunction(2, 13, 2, tuple(rng.randrange(2) for _ in range(2**13)))))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limited_address_space,
+    )
+    assert done.stderr == ""
+    assert done.stdout == "1\n"
+
+
+@pytest.mark.parametrize("theorem, shape", [("T6.3", (3, 5, 2)), ("T4.4", (3, 4, 2))])
+def test_gap_checks_compute_one_report_per_function(monkeypatch, theorem, shape):
+    # The gap checks read the quasi-arity off the one arity_gap report they
+    # make per function, instead of computing it a second time.
+    calls = {"quasi_arity": 0, "arity_gap": 0}
+
+    def counted(name, fn):
+        def wrapper(f):
+            calls[name] += 1
+            return fn(f)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    checked, failures = oracle._sweep_range(SweepSpec(theorem, *shape, "sampled", 300, 1), (0, 300))
+    assert failures == []
+    assert checked > 0
+    assert calls == {"quasi_arity": 0, "arity_gap": checked}
 
 
 def test_oracle_catches_repeat_flags_that_miss_a_tuple(monkeypatch):

@@ -181,12 +181,15 @@ def bell(n):
 @settings(derandomize=True, deadline=None)
 @given(st.integers(1, 8))
 def test_partitions_are_the_coarser_lead_sigmas(n):
-    leads = _partitions(n)
+    levels = {b: _partitions(n, b) for b in range(n - 1, 0, -1)}
+    leads = [sigma for level in levels.values() for sigma in level]
     assert len(leads) == bell(n) - 1
     assert len(set(leads)) == len(leads)
     assert tuple(range(1, n + 1)) not in leads
     blocks = [len(set(sigma)) for sigma in leads]
     assert blocks == sorted(blocks, reverse=True)  # the most blocks first
+    for b, level in levels.items():
+        assert all(len(set(sigma)) == b for sigma in level)  # exactly b blocks
     for sigma in leads:
         assert len(sigma) == n
         # each slot is fed from the least slot of its block, itself a lead
@@ -199,7 +202,7 @@ def test_oracle_partition_maps_are_the_substitution(k, n):
     # Each entry of the table names its own index, so the gathered table is
     # the map itself: entry t must read f at (t_sigma(1), ..., t_sigma(n)).
     f = FiniteFunction(k, n, k**n, tuple(range(k**n)))
-    for sigma in _partitions(n):
+    for sigma in (s for b in range(n - 1, 0, -1) for s in _partitions(n, b)):
         reference = tuple(f.eval(tuple(t[s - 1] for s in sigma)) for t in points(k, n))
         assert _lead_gather(k, n, sigma)(f.table) == reference, sigma
         assert _lead_gather.__wrapped__(k, n, sigma)(f.table) == reference, sigma
