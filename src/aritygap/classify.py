@@ -285,7 +285,8 @@ def classify_pseudo_boolean(f: FiniteFunction) -> Classification:
     if len(values) == 2:
         v0 = g.table[0]
         v1 = (values - {v0}).pop()
-        h = FiniteFunction._valid(2, g.n, 2, tuple(0 if v == v0 else 1 for v in g.table))
+        table = g.table if (v0, v1) == (0, 1) else tuple(0 if v == v0 else 1 for v in g.table)
+        h = FiniteFunction._valid(2, g.n, 2, table)
         return _classify_two_valued(g, slots, h, ((v0, v1), h))
     if g.n == 2 and g.table[0] == g.table[3]:
         return Classification(gap=2, tag=TAG_QUASI_N_MINUS_2, m=0)

@@ -181,20 +181,20 @@ def _cmd_classify(args, out: _Output) -> int:
 
 
 def _cmd_minor(args, out: _Output) -> int:
+    # The slot list is parsed and checked once, before any input is read.
+    if args.diagonal:
+        make = minors.diagonal
+    elif args.identify:
+        i, j = _parse_slots(args.identify, 2)
+        make = lambda f: minors.identification_minor(f, i, j)
+    else:
+        if args.target_arity is None:
+            raise ValueError("--sigma needs --target-arity")
+        sigma = _parse_slots(args.sigma)
+        mapping = minors.MinorMap(len(sigma), args.target_arity, sigma)
+        make = lambda f: minors.simple_minor(f, mapping)
     for f in _read_functions(args):
-        if args.diagonal:
-            result = minors.diagonal(f)
-        elif args.identify:
-            i, j = _parse_slots(args.identify, 2)
-            result = minors.identification_minor(f, i, j)
-        else:
-            if args.target_arity is None:
-                raise ValueError("--sigma needs --target-arity")
-            sigma = _parse_slots(args.sigma)
-            result = minors.simple_minor(
-                f, minors.MinorMap(len(sigma), args.target_arity, sigma)
-            )
-        out.write(render(result))
+        out.write(render(make(f)))
     return 0
 
 

@@ -114,7 +114,7 @@ def all_tuples(k: int, n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(k), repeat=n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteFunction:
     """A total function {0..k-1}^n -> {0..b-1} as a dense table.
 
@@ -137,8 +137,8 @@ class FiniteFunction:
       ``oracle.sampled_function``, whose entries are the top bits of
       ``getrandbits`` words, kept below b as ``randrange(b)`` draws them;
       all three size their tables by ``_check_shape(k, n, b)`` first;
-    - ``classify.classify_pseudo_boolean``, whose table ``h`` relabels the
-      two values of a valid table over k = 2 as 0 and 1.
+    - ``classify.classify_pseudo_boolean``, whose table ``h`` is a valid
+      two-valued table over k = 2, relabelled as 0 and 1 unless it is so.
     """
 
     k: int
@@ -161,7 +161,10 @@ class FiniteFunction:
         # The function with these fields, which the caller knows to be valid,
         # without the per-entry checks of __post_init__.
         f = object.__new__(cls)
-        f.__dict__.update(k=k, n=n, b=b, table=table)
+        _set_k(f, k)
+        _set_n(f, n)
+        _set_b(f, b)
+        _set_table(f, table)
         return f
 
     @property
@@ -185,6 +188,12 @@ class FiniteFunction:
     def is_constant(self) -> bool:
         first = self.table[0]
         return all(v == first for v in self.table)
+
+
+# The slots' own setters, which _valid calls past the frozen __setattr__.
+_set_k, _set_n, _set_b, _set_table = (
+    vars(FiniteFunction)[name].__set__ for name in ("k", "n", "b", "table")
+)
 
 
 def constant(k: int, n: int, b: int, value: int) -> FiniteFunction:
