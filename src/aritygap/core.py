@@ -137,8 +137,8 @@ class FiniteFunction:
       ``oracle.sampled_function``, whose entries are the top bits of
       ``getrandbits`` words, kept below b as ``randrange(b)`` draws them;
       all three size their tables by ``_check_shape(k, n, b)`` first;
-    - ``classify.classify_pseudo_boolean``, whose table ``h`` is a valid
-      two-valued table over k = 2, relabelled as 0 and 1 unless it is so.
+    - ``classify.classify_pseudo_boolean``, whose table ``h`` relabels the
+      two values of a valid table over k = 2 as 0 and 1.
     """
 
     k: int

@@ -150,7 +150,7 @@ def oracle_gap(f: FiniteFunction) -> int:
             if best < e < ess:
                 best = e
                 if best == ess - 1:
-                    return 1
+                    return ess - best
     assert best >= 0
     return ess - best
 
