@@ -727,8 +727,15 @@ def test_stream_input_memory_stays_near_its_size(tmp_path):
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print(code, (after - before) * (1 if sys.platform == 'darwin' else 1024))\n"
     )
+    # ru_maxrss carries over exec, so the measuring interpreter is started
+    # from a small one: started from this process, its baseline would be
+    # the test process's own peak and the growth would read too small.
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
     done = subprocess.run(
-        [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", launcher, sys.executable, "-c", script, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert done.stderr == ""
     code, grown = map(int, done.stdout.split())
