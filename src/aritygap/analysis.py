@@ -12,7 +12,6 @@ from .core import (
     FiniteFunction,
     UnsupportedArityError,
     all_tuples,
-    constant,
     index_to_tuple,
 )
 from .minors import _substitute
@@ -161,8 +160,9 @@ class DiagonalRestriction:
 
 def _on_slots(f: FiniteFunction, ids: tuple[int, ...]) -> FiniteFunction:
     # f with slot ids[l] fed from target slot l + 1 and every other slot from
-    # the last target slot.
-    m = len(ids)
+    # the last target slot.  With no ids every slot is fed from slot 1, which
+    # makes the nullary result the unary constant f(0,...,0).
+    m = len(ids) or 1
     sigma = [m] * f.n
     for pos, s in enumerate(ids, start=1):
         sigma[s - 1] = pos
@@ -174,22 +174,18 @@ def restrict_to_essential(f: FiniteFunction) -> tuple[FiniteFunction, tuple[int,
 
     Inessential slots are fed from the last essential one (any values give
     the same function), and f itself is returned when every slot is
-    essential.  With no essential slot at all the result is the unary
-    constant f(0,...,0).
+    essential.  With no essential slot at all every slot is fed from one,
+    which gives the unary constant f(0,...,0).
     """
     ids = _essential_ids(f.k, f.n, f.table)
-    if not ids:
-        return constant(f.k, 1, f.b, f.table[0]), ()
-    if len(ids) == f.n:
-        return f, ids
-    return _on_slots(f, ids), ids
+    return (f if len(ids) == f.n else _on_slots(f, ids)), ids
 
 
 @dataclass(frozen=True)
 class SupportExtension:
     """Total function agreeing with f on the repeat set, on the slots that
-    are essential there.  `nullary` marks the essentially nullary case, which
-    is packaged as a unary constant."""
+    are essential there.  `nullary` marks the essentially nullary case, where
+    every slot is fed from one: the unary constant f(0,...,0)."""
 
     h: FiniteFunction
     slots: tuple[int, ...]
@@ -207,9 +203,7 @@ def support_extension(f: FiniteFunction) -> SupportExtension:
     if f.n == 2:
         raise UnsupportedArityError("no support extension for binary functions")
     ids = _essential_ids(f.k, f.n, f.table, on_repeat=True)
-    if not ids:
-        return SupportExtension(constant(f.k, 1, f.b, f.table[0]), (), True)
-    return SupportExtension(_on_slots(f, ids), ids, False)
+    return SupportExtension(_on_slots(f, ids), ids, not ids)
 
 
 def is_restriction_totally_symmetric(f: FiniteFunction) -> bool:

@@ -278,6 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = _COMMANDS[args.command](args, out)
         out.write("")  # a command that wrote nothing still leaves an empty --out file
+        out.close()  # a failed flush of --out is reported like any other write
         return code
     except core.ArityGapError as exc:
         print(f"aritygap: {exc}", file=sys.stderr)

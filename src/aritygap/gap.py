@@ -61,24 +61,17 @@ class UnarySupport:
 
 
 def unique_unary_support(f: FiniteFunction) -> UnarySupport:
-    qa = quasi_arity(f)
-    if qa >= 2:
-        raise NoSuchSupportError(f"quasi-arity is {qa}, no essentially unary support")
-    if f.n == 1:
-        return UnarySupport((f,), (1,) if qa == 1 else (), False)
-    if qa == 0:
-        # f is constant on the repeat set; (0,...,0) is in it.
-        c = f.table[0]
-        return UnarySupport(
-            (FiniteFunction(f.k, f.n, f.b, (c,) * f.size),), (), False
-        )
+    """The essentially at most unary supports of f.  Quasi-arity 0 gives the
+    n-ary constant f(0,...,0) and no slot; quasi-arity 1 gives a -> f(a,...,a)
+    read at the one slot essential on the repeat set, ambiguous (one support
+    per slot) exactly when n = 2.  Raises NoSuchSupportError from quasi-arity 2."""
+    ids = _essential_ids(f.k, f.n, f.table, on_repeat=True)
+    if len(ids) >= 2:
+        raise NoSuchSupportError(f"quasi-arity is {len(ids)}, no essentially unary support")
     d = diagonal(f)
-    if f.n == 2:
-        return UnarySupport(
-            (_substitute(d, 2, (1,)), _substitute(d, 2, (2,))), (1, 2), True
-        )
-    t = _essential_ids(f.k, f.n, f.table, on_repeat=True)[0]
-    return UnarySupport((_substitute(d, f.n, (t,)),), (t,), False)
+    if f.n == 2 and not d.is_constant():
+        return UnarySupport(tuple(_substitute(d, 2, (s,)) for s in (1, 2)), (1, 2), True)
+    return UnarySupport((_substitute(d, f.n, ids or (1,)),), ids, False)
 
 
 @dataclass(frozen=True)

@@ -713,6 +713,24 @@ def test_huge_table_is_refused_at_once(argv, text, message):
     assert done.stderr == f"aritygap: {message}, over the 100000000 limit\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_on_a_full_device_is_a_file_error():
+    # The buffered write to --out fails only when the file is closed, which
+    # must still be reported as one line, not as a traceback.
+    done = subprocess.run(
+        [sys.executable, "-m", "aritygap", "analyze", "--out", "/dev/full"],
+        input=XOR2_TEXT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("aritygap: ")
+
+
 def test_stream_input_memory_stays_near_its_size(tmp_path):
     # oddsupp-check on the 6 MiB (3,2,4) enumeration, 262,144 functions: the
     # peak RSS the run adds to a fresh interpreter must stay within 20 times

@@ -348,6 +348,15 @@ def test_table_shape_rule_lives_in_core():
     ]
 
 
+def test_nullary_results_come_from_the_slot_collapse():
+    # The essentially nullary restriction, support extension and unary
+    # support are built by feeding slots from one, not by hand: analysis
+    # builds no constant and gap calls no validating constructor.
+    src = Path(__file__).resolve().parents[1] / "src" / "aritygap"
+    assert not re.search(r"\bconstant\(", (src / "analysis.py").read_text())
+    assert not re.search(r"\bFiniteFunction\(", (src / "gap.py").read_text())
+
+
 def test_oracle_decides_essentiality_on_its_own():
     # The oracles check the fast paths, so they must share nothing with them.
     # Every name the definitional oracles load is a builtin, a stdlib name, a

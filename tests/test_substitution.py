@@ -22,6 +22,7 @@ from aritygap import (
     FiniteFunction,
     GapUndefinedError,
     MinorMap,
+    NoSuchSupportError,
     VariablePartition,
     arity_gap,
     classify_pseudo_boolean,
@@ -32,9 +33,11 @@ from aritygap import (
     function_by_id,
     identification_minor,
     partition_minor,
+    quasi_arity,
     restrict_to_essential,
     simple_minor,
     support_extension,
+    unique_unary_support,
 )
 from aritygap.oracle import _lead_gather, _partitions, sampled_function
 
@@ -139,6 +142,23 @@ def test_support_extension_matches_on_repeat_set(f):
         if has_repeat(t):
             args = tuple(t[s - 1] for s in ext.slots) if ext.slots else (0,)
             assert f.eval(t) == h.eval(args)
+
+
+@PROFILE
+@given(functions())
+def test_unary_support_matches_on_repeat_set(f):
+    if quasi_arity(f) >= 2:
+        with pytest.raises(NoSuchSupportError):
+            unique_unary_support(f)
+        return
+    u = unique_unary_support(f)
+    for h in u.supports:
+        assert (h.k, h.n, h.b) == (f.k, f.n, f.b)
+        assert essential_arity(h) <= 1
+        assert all(h.eval(t) == f.eval(t) for t in points(f.k, f.n) if has_repeat(t))
+    if f.n != 2:
+        assert u.slots == support_extension(f).slots
+    assert u.ambiguous == (f.n == 2 and not diagonal(f).is_constant())
 
 
 @PROFILE
