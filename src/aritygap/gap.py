@@ -13,7 +13,7 @@ from .core import (
     all_tuples,
 )
 from .analysis import _essential_ids, _repeat_set, restrict_to_essential
-from .minors import _substitute, diagonal, identification_minor
+from .minors import _section, _substitute, diagonal
 
 
 def quasi_arity(f: FiniteFunction) -> int:
@@ -65,7 +65,11 @@ def unique_unary_support(f: FiniteFunction) -> UnarySupport:
     n-ary constant f(0,...,0) and no slot; quasi-arity 1 gives a -> f(a,...,a)
     read at the one slot essential on the repeat set, ambiguous (one support
     per slot) exactly when n = 2.  Raises NoSuchSupportError from quasi-arity 2."""
-    ids = _essential_ids(f.k, f.n, f.table, on_repeat=True)
+    return _unary_support(f, _essential_ids(f.k, f.n, f.table, on_repeat=True))
+
+
+def _unary_support(f: FiniteFunction, ids: tuple[int, ...]) -> UnarySupport:
+    # ids: the slots essential on the repeat set.
     if len(ids) >= 2:
         raise NoSuchSupportError(f"quasi-arity is {len(ids)}, no essentially unary support")
     d = diagonal(f)
@@ -98,9 +102,12 @@ def arity_gap(f: FiniteFunction) -> GapReport:
     The function is first replaced by the equivalent one on its essential
     slots, then unordered pairs of slots are identified in lexicographic
     order; the reported pair is the least one achieving the minimum drop,
-    mapped back to the original numbering.  The scan stops at the first
-    minor with ess - 1 essential slots: identifying slot i with slot j makes
-    slot i inessential, so no minor keeps more, and the result is exact.
+    mapped back to the original numbering.  Each pair (i, j) is scanned on
+    the (n-1)-ary section x_i = x_j, which has the essential slots of the
+    identification minor (the minor does not depend on slot i).  The scan
+    stops at the first minor with ess - 1 essential slots: identifying slot
+    i with slot j makes slot i inessential, so no minor keeps more, and the
+    result is exact.  Quasi-arity and support come from one repeat-set scan.
     """
     g, slots = restrict_to_essential(f)
     ess = len(slots)
@@ -109,15 +116,15 @@ def arity_gap(f: FiniteFunction) -> GapReport:
     best = -1
     best_pair = (1, 2)
     for i, j in combinations(range(1, ess + 1), 2):
-        minor = identification_minor(g, i, j)
-        e = len(_essential_ids(g.k, g.n, minor.table))
+        e = len(_essential_ids(g.k, ess - 1, _section(g.k, ess, i, j, g.table)))
         if e > best:
             best = e
             best_pair = (i, j)
             if e == ess - 1:
                 break
-    qa = quasi_arity(g)
-    support = unique_unary_support(g).supports[0] if qa <= 1 else None
+    ids = _essential_ids(g.k, ess, g.table, on_repeat=True)
+    qa = quasi_arity(g) if ess == 2 else len(ids)
+    support = _unary_support(g, ids).supports[0] if qa <= 1 else None
     return GapReport(
         ess=ess,
         qa=qa,

@@ -83,6 +83,21 @@ def simple_minor(g: FiniteFunction, sigma: MinorMap) -> FiniteFunction:
     return _substitute(g, sigma.n, sigma.sigma)
 
 
+def _runs(k: int, n: int, i: int, j: int) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
+    # The free digits above, between and below slots i and j as three groups
+    # of (count, step in the n-ary table, step in the section without slot
+    # i); the longest group is returned as the run, and the other two as
+    # the (table, section) offsets of its starts.
+    si, sj = k ** (n - i), k ** (n - j)
+    hi, lo = (si, sj) if si > sj else (sj, si)
+    mid = k * lo if i < j else lo
+    (c1, s1, t1), (c2, s2, t2), run = sorted(
+        ((k**n // (k * hi), k * hi, hi), (hi // (k * lo), k * lo, mid), (lo, 1, 1))
+    )
+    offsets = [(x * s1 + y * s2, x * t1 + y * t2) for x in range(c1) for y in range(c2)]
+    return offsets, run
+
+
 def _identified(k: int, n: int, i: int, j: int, table: Sequence[int]) -> list[int]:
     # The table with slot i fed from slot j, by slice assignment on a copy.
     # An entry with digit a at slot i and c != a at slot j reads the entry
@@ -91,21 +106,32 @@ def _identified(k: int, n: int, i: int, j: int, table: Sequence[int]) -> list[in
     # slots; each slice runs along the longest of the three groups.
     si, sj = k ** (n - i), k ** (n - j)
     out = list(table)
-    hi, lo = (si, sj) if si > sj else (sj, si)
-    # (count, step) of each group of free digits (above, between, below the
-    # two slots), the longest last.
-    (c1, s1), (c2, s2), (run, step) = sorted(
-        ((k**n // (k * hi), k * hi), (hi // (k * lo), k * lo), (lo, 1))
-    )
+    offsets, (run, step, _) = _runs(k, n, i, j)
     span = run * step
-    offsets = [x + y for x in range(0, c1 * s1, s1) for y in range(0, c2 * s2, s2)]
     for a in range(k):
         for c in range(k):
             if a != c:
                 shift, base = (c - a) * si, a * si + c * sj
-                for o in offsets:
+                for o, _ in offsets:
                     y = base + o
                     out[y : y + span : step] = table[y + shift : y + shift + span : step]
+    return out
+
+
+def _section(k: int, n: int, i: int, j: int, table: Sequence[int]) -> list[int]:
+    # f restricted to x_i = x_j: the (n-1)-ary table without slot i, copied
+    # in slices along the longest group of free digits.  The common digit a
+    # weighs k^(n-i) + k^(n-j) in f's table and k^(n-1-j) in the section,
+    # or k^(n-j) when i < j moves slot j one place up.
+    si, sj = k ** (n - i), k ** (n - j)
+    wa = sj if i < j else sj // k
+    offsets, (run, step, ostep) = _runs(k, n, i, j)
+    span, ospan = run * step, run * ostep
+    out = [0] * k ** (n - 1)
+    for a in range(k):
+        x, y = a * (si + sj), a * wa
+        for o, p in offsets:
+            out[y + p : y + p + ospan : ostep] = table[x + o : x + o + span : step]
     return out
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aritygap import (
     FiniteFunction,
@@ -9,12 +10,17 @@ from aritygap import (
     VariablePartition,
     all_tuples,
     diagonal,
+    essential_arity,
     essential_slots,
+    gen_essentially_m_ary,
+    gen_quasi_m_ary,
     identification_minor,
     partition_minor,
     simple_minor,
     tuple_to_index,
 )
+from aritygap.analysis import _essential_ids
+from aritygap.minors import _section
 
 XOR2 = FiniteFunction(2, 2, 2, (0, 1, 1, 0))
 AND2 = FiniteFunction(2, 2, 2, (0, 0, 0, 1))
@@ -166,3 +172,56 @@ def test_pair_partition_matches_identification(k, n):
             blocks = tuple((s,) for s in range(1, n + 1) if s not in (i, j)) + ((i, j),)
             delta = VariablePartition(n, blocks)
             assert partition_minor(f, delta) == identification_minor(f, j, i)
+
+
+# The section of f at x_i = x_j: an (n-1)-ary table without slot i.
+SECTION_SHAPES = [(2, n) for n in range(2, 7)] + [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3)]
+SECTION_ARITY = {2: 6, 3: 5, 4: 4, 5: 3}
+
+
+def definitional_section(f, i, j):
+    """The table of u -> f(t), where t is u with t_j inserted at slot i."""
+    out = []
+    for u in all_tuples(f.k, f.n - 1):
+        t = list(u)
+        t.insert(i - 1, None)
+        t[i - 1] = t[j - 1]
+        out.append(f.eval(tuple(t)))
+    return out
+
+
+def check_section(f, i, j):
+    section = _section(f.k, f.n, i, j, f.table)
+    assert section == definitional_section(f, i, j), (i, j)
+    # The minor does not depend on slot i, and its slot j is the merged slot.
+    kept = len(_essential_ids(f.k, f.n - 1, section))
+    assert kept == essential_arity(identification_minor(f, i, j)), (i, j)
+
+
+@pytest.mark.parametrize("k,n", SECTION_SHAPES)
+def test_section_is_the_definition(k, n):
+    # Every ordered pair, so both orders, adjacent slots and slots 1 and n.
+    # The first table names its own indices, so the section is the index
+    # map itself; the others keep different numbers of slots per pair.
+    rng = random.Random(k * 10 + n)
+    fs = [
+        FiniteFunction(k, n, k**n, tuple(range(k**n))),
+        FiniteFunction(k, n, 3, tuple(rng.randrange(3) for _ in range(k**n))),
+        gen_essentially_m_ary(k, n, 2, 2, rng.getrandbits(32)),
+    ]
+    if n <= k:
+        fs.append(gen_quasi_m_ary(k, n, 2, 1, rng.getrandbits(32)))
+    for f in fs:
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            check_section(f, i, j)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_section_is_the_definition_sampled(data):
+    k = data.draw(st.integers(2, 5))
+    n = data.draw(st.integers(2, SECTION_ARITY[k]))
+    b = data.draw(st.integers(2, 3))
+    table = data.draw(st.lists(st.integers(0, b - 1), min_size=k**n, max_size=k**n))
+    i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    check_section(FiniteFunction(k, n, b, tuple(table)), i, j)

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import aritygap.gap
 from aritygap import (
     FiniteFunction,
+    GapReport,
     GapUndefinedError,
     MinorMap,
     NoSuchSupportError,
@@ -31,6 +32,8 @@ from aritygap import (
     essential_slots,
     gen_salomaa,
     function_by_id,
+    gen_essentially_m_ary,
+    gen_quasi_m_ary,
     identification_minor,
     partition_minor,
     quasi_arity,
@@ -39,6 +42,7 @@ from aritygap import (
     support_extension,
     unique_unary_support,
 )
+from aritygap.minors import _section
 from aritygap.oracle import _lead_gather, _partitions, sampled_function
 
 MAX_SIZE = 1024
@@ -274,11 +278,11 @@ def test_arity_gap_without_early_exit(f):
 def counted_identifications(monkeypatch):
     calls = []
 
-    def counting(g, i, j):
+    def counting(k, n, i, j, table):
         calls.append((i, j))
-        return identification_minor(g, i, j)
+        return _section(k, n, i, j, table)
 
-    monkeypatch.setattr(aritygap.gap, "identification_minor", counting)
+    monkeypatch.setattr(aritygap.gap, "_section", counting)
     return calls
 
 
@@ -297,3 +301,75 @@ def test_arity_gap_visits_every_pair_of_a_parity_table(monkeypatch):
     calls = counted_identifications(monkeypatch)
     assert arity_gap(f).gap == 2
     assert calls == list(itertools.combinations(range(1, 7), 2))
+
+
+def test_arity_gap_scans_the_repeat_set_once(monkeypatch):
+    f = gen_quasi_m_ary(4, 3, 2, 1, 0)
+    real = aritygap.gap._essential_ids
+    on_repeat = []
+
+    def counting(*args, **kwargs):
+        on_repeat.append(kwargs.get("on_repeat", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(aritygap.gap, "_essential_ids", counting)
+    r = arity_gap(f)
+    assert r.qa == 1 and r.support is not None
+    assert on_repeat.count(True) == 1
+
+
+def pair_loop_gap(f):
+    """arity_gap's report from the n-ary identification minor of each pair,
+    scanned in full, with quasi-arity and support computed apart."""
+    g, slots = restrict_to_essential(f)
+    ess = len(slots)
+    if ess < 2:
+        raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
+    best, best_pair = -1, (1, 2)
+    for i, j in itertools.combinations(range(1, ess + 1), 2):
+        e = essential_arity(identification_minor(g, i, j))
+        if e > best:
+            best, best_pair = e, (i, j)
+            if e == ess - 1:
+                break
+    qa = quasi_arity(g)
+    support = unique_unary_support(g).supports[0] if qa <= 1 else None
+    pair = (slots[best_pair[0] - 1], slots[best_pair[1] - 1])
+    return GapReport(ess, qa, best, ess - best, pair, slots, support)
+
+
+def same_as_pair_loop(f):
+    try:
+        expected = repr(pair_loop_gap(f))
+    except GapUndefinedError as e:
+        with pytest.raises(GapUndefinedError, match=str(e)):
+            arity_gap(f)
+        return
+    assert repr(arity_gap(f)) == expected
+
+
+@pytest.mark.parametrize("k,n,b", [(2, 4, 2), (3, 2, 3), (2, 3, 3)])
+def test_arity_gap_is_the_pair_loop_exhaustive(k, n, b):
+    for table in itertools.product(range(b), repeat=k**n):
+        same_as_pair_loop(FiniteFunction(k, n, b, table))
+
+
+def seeded_parity(k, n, b, rng):
+    """h(p(t_1) + ... + p(t_n) mod 2) with p nonconstant: gap 2."""
+    p = [0, 1] + [rng.randrange(2) for _ in range(k - 2)]
+    rng.shuffle(p)
+    h = rng.sample(range(b), 2)
+    return FiniteFunction(k, n, b, tuple(h[sum(p[a] for a in t) % 2] for t in points(k, n)))
+
+
+@pytest.mark.parametrize("k,n,b", [(2, 12, 2), (3, 8, 3), (5, 5, 5)])
+@pytest.mark.parametrize("seed", range(2))
+def test_arity_gap_is_the_pair_loop_seeded(k, n, b, seed):
+    rng = random.Random(f"{k}:{n}:{seed}")
+    fs = [
+        seeded_parity(k, n, b, rng),
+        gen_essentially_m_ary(k, n, b, 3 + seed, rng.getrandbits(32)),
+        gen_quasi_m_ary(k, n, b, n if n > k else 2 + seed, rng.getrandbits(32)),
+    ]
+    for f in fs:
+        same_as_pair_loop(f)
