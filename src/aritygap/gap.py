@@ -65,11 +65,7 @@ def unique_unary_support(f: FiniteFunction) -> UnarySupport:
     n-ary constant f(0,...,0) and no slot; quasi-arity 1 gives a -> f(a,...,a)
     read at the one slot essential on the repeat set, ambiguous (one support
     per slot) exactly when n = 2.  Raises NoSuchSupportError from quasi-arity 2."""
-    return _unary_support(f, _essential_ids(f.k, f.n, f.table, on_repeat=True))
-
-
-def _unary_support(f: FiniteFunction, ids: tuple[int, ...]) -> UnarySupport:
-    # ids: the slots essential on the repeat set.
+    ids = _essential_ids(f.k, f.n, f.table, on_repeat=True)
     if len(ids) >= 2:
         raise NoSuchSupportError(f"quasi-arity is {len(ids)}, no essentially unary support")
     d = diagonal(f)
@@ -124,7 +120,7 @@ def arity_gap(f: FiniteFunction) -> GapReport:
                 break
     ids = _essential_ids(g.k, ess, g.table, on_repeat=True)
     qa = quasi_arity(g) if ess == 2 else len(ids)
-    support = _unary_support(g, ids).supports[0] if qa <= 1 else None
+    support = _substitute(diagonal(g), ess, ids or (1,)) if qa <= 1 else None
     return GapReport(
         ess=ess,
         qa=qa,

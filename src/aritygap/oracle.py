@@ -95,15 +95,17 @@ def _essential_count(k: int, n: int, table: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=64)
-def _partitions(n: int, blocks: int) -> tuple[tuple[int, ...], ...]:
-    # The partitions of {1..n} into exactly `blocks` blocks, as lead sigmas
-    # (slot s is fed from the least slot of its block).  Slot n either opens
-    # a block of its own or joins one of the blocks of {1..n-1}.
-    if not 0 < blocks < n:
-        return (tuple(range(1, n + 1)),) if blocks == n else ()
-    opened = (p + (n,) for p in _partitions(n - 1, blocks - 1))
-    joined = (p + (t,) for p in _partitions(n - 1, blocks) for t in sorted(set(p)))
-    return (*opened, *joined)
+def _partitions(n: int, slots: tuple[int, ...], blocks: int) -> tuple[tuple[int, ...], ...]:
+    # The partitions of `slots` into exactly `blocks` blocks, as lead sigmas
+    # over {1..n}: a slot of `slots` is fed from the least slot of its block,
+    # every other slot from itself.  The last slot either opens a block of its
+    # own or joins one of the blocks of the slots before it.
+    if not 0 < blocks < len(slots):
+        return (tuple(range(1, n + 1)),) if blocks == len(slots) else ()
+    rest, last = slots[:-1], slots[-1]
+    opened = _partitions(n, rest, blocks - 1)
+    joins = ((p, t) for p in _partitions(n, rest, blocks) for t in rest if p[t - 1] == t)
+    return (*opened, *(p[: last - 1] + (t,) + p[last:] for p, t in joins))
 
 
 @lru_cache(maxsize=8192)
@@ -122,32 +124,30 @@ def oracle_gap(f: FiniteFunction) -> int:
     """Gap recomputed as ess f minus the maximum essential arity over all
     strict substitution minors.
 
-    Every substitution minor arises, up to slot permutation and inessential
-    slots (neither of which changes essential arity), from identifying the
-    blocks of some partition of the slot set, so partitions are enumerated
-    with duplicate tables skipped; minors with the full essential arity are
-    equivalent to f and excluded.  The partitions are walked one level at a
-    time, n - 1 blocks first.  The walk returns once a minor keeps ess - 1
-    slots (no strict minor keeps more), and stops before a level with no
-    more blocks than the best minor has essential slots (a minor over b
-    blocks depends on at most b slots).
+    f does not read what feeds an inessential slot, so a substitution minor
+    is fixed, up to slot permutation and inessential slots (neither of
+    which changes essential arity), by how it groups the essential slots:
+    it is the minor that identifies the blocks of a partition of the
+    essential slots and feeds every other slot from itself.  Fewer than
+    ess blocks give a strict minor, ess blocks give f again.  The walk
+    holds one minor at a time, level by level with ess - 1 blocks first;
+    it returns once a minor keeps ess - 1 slots (no strict minor keeps
+    more), and stops before a level with no more blocks than the best
+    minor has essential slots (a minor over b blocks depends on at most b
+    slots).
     """
-    ess = _essential_count(f.k, f.n, f.table)
+    slots = tuple(s for s in range(1, f.n + 1) if _is_essential(f.k, f.n, f.table, s))
+    ess = len(slots)
     if ess < 2:
         raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
     best = -1
-    seen = set()
     gather = _lead_gather if f.size <= 1024 else _lead_gather.__wrapped__
-    for blocks in range(f.n - 1, 0, -1):
+    for blocks in range(ess - 1, 0, -1):
         if blocks <= best:
             break
-        for sigma in _partitions(f.n, blocks):
-            table = gather(f.k, f.n, sigma)(f.table)
-            if table in seen:
-                continue
-            seen.add(table)
-            e = _essential_count(f.k, f.n, table)
-            if best < e < ess:
+        for sigma in _partitions(f.n, slots, blocks):
+            e = _essential_count(f.k, f.n, gather(f.k, f.n, sigma)(f.table))
+            if e > best:
                 best = e
                 if best == ess - 1:
                     return ess - best

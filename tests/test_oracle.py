@@ -100,12 +100,63 @@ def test_oracle_gap_matches_full_sigma_sweep(seed):
     assert oracle_gap(f) == len(essential_slots(f)) - full_sigma_essl(f)
 
 
+@pytest.mark.parametrize("k,n,b", [(2, 4, 2), (3, 3, 2), (2, 5, 2)])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_oracle_gap_matches_full_sigma_sweep_with_inessential_slots(k, n, b, m, seed):
+    # The oracle partitions only the m essential slots; the reference still
+    # tries every map of all n slots.
+    f = gen_essentially_m_ary(k, n, b, m, seed)
+    assert oracle_gap(f) == m - full_sigma_essl(f)
+
+
 @pytest.mark.parametrize("k,n,b", [(2, 2, 2), (2, 3, 2), (3, 2, 2)])
 def test_oracle_gap_agrees_with_arity_gap_exhaustive(k, n, b):
     for f in all_functions(k, n, b):
         if len(essential_slots(f)) < 2:
             continue
         assert oracle_gap(f) == arity_gap(f).gap
+
+
+GAP_SHAPES = [(3, 4, 2), (3, 5, 2), (4, 4, 3), (5, 5, 2), (3, 3, 3), (4, 5, 2)]
+
+
+def gap_battery(k, n, b):
+    """gen_quasi_m_ary for every m the shape allows, gen_oddsupp_determined
+    (n >= 4), three seeds each, the parity table and, at n = k = b,
+    gen_salomaa."""
+    ms = range(n + 1) if n <= k else [n]
+    fs = [gen_quasi_m_ary(k, n, b, m, seed) for m in ms for seed in range(3)]
+    if n >= 4:
+        fs += [gen_oddsupp_determined(k, n, b, seed) for seed in range(3)]
+    fs.append(FiniteFunction(k, n, b, tuple(sum(t) % 2 for t in itertools.product(range(k), repeat=n))))
+    if n == k == b:
+        fs.append(gen_salomaa(k))
+    return fs
+
+
+def gaps_against_the_oracle():
+    return [(arity_gap(f).gap, oracle_gap(f)) for shape in GAP_SHAPES for f in gap_battery(*shape)]
+
+
+def test_arity_gap_agrees_with_oracle_gap_beyond_two_element_domains():
+    pairs = gaps_against_the_oracle()
+    assert len(pairs) == 76
+    assert all(fast == slow for fast, slow in pairs)
+    assert {slow for _, slow in pairs} == {1, 2, 3, 4, 5}
+
+
+def test_oracle_gap_catches_a_section_that_reads_one_entry_early(monkeypatch):
+    # arity_gap's sections read every entry of f's table one place early
+    # (the first from the end); oracle_gap gathers its own minors, so the
+    # two must disagree.
+    real = aritygap.gap._section
+
+    def faulty(k, n, i, j, table):
+        return real(k, n, i, j, table[-1:] + table[:-1])
+
+    monkeypatch.setattr(aritygap.gap, "_section", faulty)
+    assert any(fast != slow for fast, slow in gaps_against_the_oracle())
 
 
 # Reference: the least essential arity over every completion of f's values
@@ -244,6 +295,23 @@ def test_oracle_gap_on_a_wide_random_table_fits_in_memory():
     )
     assert done.stderr == ""
     assert done.stdout == "1\n"
+
+
+def test_verify_t51_at_arity_13_finishes_in_memory():
+    # The (2,13,2) witness battery holds an essentially binary table whose
+    # strict minors are all constant; the oracle walks the partitions of its
+    # two essential slots, not all Bell(13) - 1 partitions of the slots.
+    argv = ["verify", "--theorem", "T5.1", "--k", "2", "--n", "13", "--b", "2", "--samples", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "aritygap", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limited_address_space,
+    )
+    assert done.stderr == ""
+    assert done.returncode == 0
+    assert done.stdout == "theorem=T5.1 checked=6 failures=0 seed=0\n"
 
 
 @pytest.mark.parametrize("theorem, shape", [("T6.3", (3, 5, 2)), ("T4.4", (3, 4, 2))])

@@ -205,7 +205,7 @@ def bell(n):
 @settings(derandomize=True, deadline=None)
 @given(st.integers(1, 8))
 def test_partitions_are_the_coarser_lead_sigmas(n):
-    levels = {b: _partitions(n, b) for b in range(n - 1, 0, -1)}
+    levels = {b: _partitions(n, tuple(range(1, n + 1)), b) for b in range(n - 1, 0, -1)}
     leads = [sigma for level in levels.values() for sigma in level]
     assert len(leads) == bell(n) - 1
     assert len(set(leads)) == len(leads)
@@ -221,12 +221,48 @@ def test_partitions_are_the_coarser_lead_sigmas(n):
             assert lead <= s and sigma[lead - 1] == lead
 
 
+def stirling2(m, b):
+    """The number of partitions of an m-set into exactly b blocks."""
+    if m == 0 or b == 0:
+        return int(m == b)
+    return b * stirling2(m - 1, b) + stirling2(m - 1, b - 1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_partitions_of_a_slot_subset_feed_the_other_slots_from_themselves(data):
+    n = data.draw(st.integers(1, 8))
+    slots = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1))))
+    m = len(slots)
+    for b in range(m - 1, 0, -1):
+        level = _partitions(n, slots, b)
+        assert len(set(level)) == len(level) == stirling2(m, b)
+        # the partitions of {1..m}, in the same order, carried over to slots
+        carried = []
+        for p in _partitions(m, tuple(range(1, m + 1)), b):
+            sigma = list(range(1, n + 1))
+            for s, lead in zip(slots, p):
+                sigma[s - 1] = slots[lead - 1]
+            carried.append(tuple(sigma))
+        assert list(level) == carried
+        for sigma in level:
+            assert len(sigma) == n
+            assert len({sigma[s - 1] for s in slots}) == b  # exactly b blocks
+            for s, lead in enumerate(sigma, start=1):
+                if s in slots:
+                    # fed from the least slot of its block, itself a lead
+                    assert lead in slots and lead <= s and sigma[lead - 1] == lead
+                else:
+                    assert lead == s
+
+
 @pytest.mark.parametrize("k,n", [(2, n) for n in range(1, 8)] + [(3, 4), (3, 5), (4, 4), (5, 3)])
 def test_oracle_partition_maps_are_the_substitution(k, n):
     # Each entry of the table names its own index, so the gathered table is
     # the map itself: entry t must read f at (t_sigma(1), ..., t_sigma(n)).
     f = FiniteFunction(k, n, k**n, tuple(range(k**n)))
-    for sigma in (s for b in range(n - 1, 0, -1) for s in _partitions(n, b)):
+    every = tuple(range(1, n + 1))
+    for sigma in (s for b in range(n - 1, 0, -1) for s in _partitions(n, every, b)):
         reference = tuple(f.eval(tuple(t[s - 1] for s in sigma)) for t in points(k, n))
         assert _lead_gather(k, n, sigma)(f.table) == reference, sigma
         assert _lead_gather.__wrapped__(k, n, sigma)(f.table) == reference, sigma
