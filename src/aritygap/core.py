@@ -129,8 +129,6 @@ class FiniteFunction:
     - ``minors._substitute`` and ``minors.diagonal``, which gather entries of
       an already valid table (``_substitute`` checks a wider target arity
       with ``_check_shape`` first);
-    - ``minors.identification_minor``, which copies slices of an already
-      valid table of the same shape;
     - ``oracle.function_by_id``, whose entries are base-b digits,
       ``oracle.functions_in_order``, whose tables are the tuples of
       ``itertools.product(range(b), repeat=k**n)``, and

@@ -83,49 +83,22 @@ def simple_minor(g: FiniteFunction, sigma: MinorMap) -> FiniteFunction:
     return _substitute(g, sigma.n, sigma.sigma)
 
 
-def _runs(k: int, n: int, i: int, j: int) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
-    # The free digits above, between and below slots i and j as three groups
-    # of (count, step in the n-ary table, step in the section without slot
-    # i); the longest group is returned as the run, and the other two as
-    # the (table, section) offsets of its starts.
+def _section(k: int, n: int, i: int, j: int, table: Sequence[int]) -> list[int]:
+    # f restricted to x_i = x_j: the (n-1)-ary table without slot i, copied
+    # in slices.  The free digits above, between and below slots i and j form
+    # three groups of (count, step in f's table, step in the section); each
+    # slice runs along the longest group, and the other two give the (table,
+    # section) offsets of its starts.  The common digit a weighs
+    # k^(n-i) + k^(n-j) in f's table and k^(n-1-j) in the section, or
+    # k^(n-j) when i < j moves slot j one place up.
     si, sj = k ** (n - i), k ** (n - j)
     hi, lo = (si, sj) if si > sj else (sj, si)
     mid = k * lo if i < j else lo
-    (c1, s1, t1), (c2, s2, t2), run = sorted(
+    (c1, s1, t1), (c2, s2, t2), (run, step, ostep) = sorted(
         ((k**n // (k * hi), k * hi, hi), (hi // (k * lo), k * lo, mid), (lo, 1, 1))
     )
     offsets = [(x * s1 + y * s2, x * t1 + y * t2) for x in range(c1) for y in range(c2)]
-    return offsets, run
-
-
-def _identified(k: int, n: int, i: int, j: int, table: Sequence[int]) -> list[int]:
-    # The table with slot i fed from slot j, by slice assignment on a copy.
-    # An entry with digit a at slot i and c != a at slot j reads the entry
-    # (c - a) * k^(n-i) away.  For each (a, c) those entries form arithmetic
-    # progressions over the free digits above, between and below the two
-    # slots; each slice runs along the longest of the three groups.
-    si, sj = k ** (n - i), k ** (n - j)
-    out = list(table)
-    offsets, (run, step, _) = _runs(k, n, i, j)
-    span = run * step
-    for a in range(k):
-        for c in range(k):
-            if a != c:
-                shift, base = (c - a) * si, a * si + c * sj
-                for o, _ in offsets:
-                    y = base + o
-                    out[y : y + span : step] = table[y + shift : y + shift + span : step]
-    return out
-
-
-def _section(k: int, n: int, i: int, j: int, table: Sequence[int]) -> list[int]:
-    # f restricted to x_i = x_j: the (n-1)-ary table without slot i, copied
-    # in slices along the longest group of free digits.  The common digit a
-    # weighs k^(n-i) + k^(n-j) in f's table and k^(n-1-j) in the section,
-    # or k^(n-j) when i < j moves slot j one place up.
-    si, sj = k ** (n - i), k ** (n - j)
     wa = sj if i < j else sj // k
-    offsets, (run, step, ostep) = _runs(k, n, i, j)
     span, ospan = run * step, run * ostep
     out = [0] * k ** (n - 1)
     for a in range(k):
@@ -136,17 +109,12 @@ def _section(k: int, n: int, i: int, j: int, table: Sequence[int]) -> list[int]:
 
 
 def identification_minor(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
-    """Feed slot i from slot j; arity is preserved and slot i becomes inessential.
-
-    The table is copied and overwritten by slice assignment; no index map
-    is built or kept.
-    """
+    """Feed slot i from slot j; arity is preserved and slot i becomes inessential."""
     if not (1 <= i <= f.n and 1 <= j <= f.n):
         raise ValueError(f"slots ({i}, {j}) not in 1..{f.n}")
     if i == j:
         raise ValueError("identification needs two distinct slots")
-    k, n = f.k, f.n
-    return FiniteFunction._valid(k, n, f.b, tuple(_identified(k, n, i, j, f.table)))
+    return _substitute(f, f.n, tuple(j if s == i else s for s in range(1, f.n + 1)))
 
 
 def partition_minor(f: FiniteFunction, delta: VariablePartition) -> FiniteFunction:

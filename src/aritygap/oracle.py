@@ -34,6 +34,7 @@ from .core import (
     all_tuples,
     constant,
     projection,
+    render_line,
     tuple_to_index,
 )
 from .analysis import _repeat_set, is_restriction_totally_symmetric
@@ -108,11 +109,12 @@ def _partitions(n: int, slots: tuple[int, ...], blocks: int) -> tuple[tuple[int,
     return (*opened, *(p[: last - 1] + (t,) + p[last:] for p, t in joins))
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=256)
 def _lead_gather(k: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
     # Entry t of the minor reads f at (t_sigma(1), ..., t_sigma(n)), of index
     # sum_l t_sigma(l) * k^(n-l); expanding t's digits from slot 1 on keeps
-    # table order.  oracle_gap caches only maps of up to 1,024 entries.
+    # table order.  oracle_gap caches only maps of up to 1,024 entries, so
+    # the cache holds at most 262,144; the T5.1 sweeps fill a few dozen maps.
     index = [0]
     for s in range(1, n + 1):
         w = sum(k ** (n - l) for l, lead in enumerate(sigma, start=1) if lead == s)
@@ -448,8 +450,6 @@ class VerificationReport:
 
 
 def render_report(report: VerificationReport) -> str:
-    from .core import render_line
-
     seed = report.seed if report.seed is not None else "-"
     lines = [
         f"theorem={report.theorem} checked={report.checked} "

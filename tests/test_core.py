@@ -326,6 +326,21 @@ def test_hypotheses_retries_and_repeat_flags_live_in_one_place():
     assert [name for name, text in sources.items() if "_repeat_flags" in text] == ["analysis.py"]
 
 
+def test_minors_build_tables_in_one_place():
+    # Every sigma-minor goes through _substitute; only it and diagonal build
+    # a function through the trusted _valid.
+    minors = (Path(__file__).resolve().parents[1] / "src" / "aritygap" / "minors.py").read_text()
+    callers = {
+        node.name
+        for node in ast.parse(minors).body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(sub, ast.Attribute) and sub.attr == "_valid" for sub in ast.walk(node)
+        )
+    }
+    assert callers == {"_substitute", "diagonal"}
+
+
 def test_table_shape_rule_lives_in_core():
     # core._check_shape is the one check of k, n, b and the table limit:
     # MAX_TABLE_ENTRIES is named only where it is defined and in that check,

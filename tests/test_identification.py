@@ -1,13 +1,11 @@
 """Identification minors against the definition.
 
-`identification_minor(f, i, j)` copies f's table and overwrites it by slice
-assignment, each slice running along the longest of the three groups of free
-digits: above, between or below the two slots.  At arity 2 every group has
-one member, so each slice is a single entry.  The shapes below take k from 2
-to 5 and tables of up to 4,096 entries; the fixed pairs make each group the
-longest once and come in both orders.  Every minor is checked against a
-table built from `FiniteFunction.eval` alone.  Runs are derandomized, so the
-suite stays deterministic.
+`identification_minor(f, i, j)` is the sigma-minor that feeds slot i from
+slot j and every other slot from itself.  The shapes below take k from 2 to
+5 and tables of up to 4,096 entries; the fixed pairs are the first two
+slots, the last two, and the first with the last, each in both orders.
+Every minor is checked against a table built from `FiniteFunction.eval`
+alone.  Runs are derandomized, so the suite stays deterministic.
 """
 
 import itertools
@@ -24,9 +22,8 @@ SHAPES = (
 
 
 def fixed_pairs(n):
-    """Adjacent first slots (the group below is longest), adjacent last
-    slots (the group above is), and the first with the last slot (the group
-    between is), each in both orders."""
+    """Adjacent first slots, adjacent last slots, and the first with the
+    last slot, each in both orders."""
     pairs = [(1, 2), (n - 1, n), (1, n)]
     return pairs + [(j, i) for i, j in pairs]
 

@@ -314,6 +314,33 @@ def test_verify_t51_at_arity_13_finishes_in_memory():
     assert done.stdout == "theorem=T5.1 checked=6 failures=0 seed=0\n"
 
 
+def test_lead_gather_cache_stays_small_at_arity_10():
+    # 1,000 distinct (2,10) lead maps, each of the largest size oracle_gap
+    # caches; the bounded cache keeps the interpreter's resident set (read
+    # from /proc/self/statm, since ru_maxrss carries over exec) within 16 MiB
+    # of where it was before the maps were built.
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/statm")
+    script = (
+        "import itertools, os\n"
+        "from aritygap.oracle import _lead_gather, _partitions\n"
+        "def rss():\n"
+        "    with open('/proc/self/statm') as fh:\n"
+        "        return int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "slots = tuple(range(1, 11))\n"
+        "sigmas = list(itertools.islice(\n"
+        "    itertools.chain(_partitions(10, slots, 8), _partitions(10, slots, 7)), 1000))\n"
+        "assert len(set(sigmas)) == 1000\n"
+        "before = rss()\n"
+        "for sigma in sigmas:\n"
+        "    _lead_gather(2, 10, sigma)\n"
+        "print((rss() - before) / 2**20)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert done.stderr == ""
+    assert float(done.stdout) <= 16
+
+
 @pytest.mark.parametrize("theorem, shape", [("T6.3", (3, 5, 2)), ("T4.4", (3, 4, 2))])
 def test_gap_checks_compute_one_report_per_function(monkeypatch, theorem, shape):
     # The gap checks read the quasi-arity off the one arity_gap report they
