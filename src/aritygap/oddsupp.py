@@ -6,6 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from .core import FiniteFunction, all_tuples, index_to_tuple
@@ -48,31 +49,50 @@ class OddsuppProfile:
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None
 
 
-def _fiber_profile(f: FiniteFunction, restricted: bool) -> OddsuppProfile:
-    # One walk over the table.  The fiber with the least first member that
-    # holds two values becomes bad_mask at its own first conflicting entry
-    # and stays so, which makes that entry the witness's second tuple.
-    entries = zip(range(f.size), _oddsupp_masks(f.k, f.n), f.table)
+@lru_cache(maxsize=64)
+def _fibers(
+    k: int, n: int, restricted: bool
+) -> tuple[itemgetter, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    # The table laid out fiber by fiber, over the repeat set when restricted:
+    # a gather that reads the layout off a table, the table index at each
+    # layout position, and each fiber's (mask, start, end) in it.  Fibers
+    # come in the order of their first members, and each fiber's entries in
+    # index order.  k >= 2 and n >= 1 (n >= 2 when restricted) leave at
+    # least two indices, so the gather always returns a tuple.
+    members: dict[int, list[int]] = {}
+    entries = enumerate(all_tuples(k, n))
     if restricted:
-        entries = _repeat_set(f.k, f.n, entries)
-    rep_idx: dict[int, int] = {}
-    rep_val: dict[int, int] = {}
-    bad_mask = second = None
-    for idx, m, v in entries:
-        if m not in rep_idx:
-            rep_idx[m] = idx
-            rep_val[m] = v
-        elif v != rep_val[m] and (bad_mask is None or rep_idx[m] < rep_idx[bad_mask]):
-            bad_mask, second = m, idx
-    if bad_mask is not None:
-        first = rep_idx[bad_mask]
-        return OddsuppProfile(
-            determined=False,
-            star=None,
-            star_constant=None,
-            witness=(index_to_tuple(f.k, f.n, first), index_to_tuple(f.k, f.n, second)),
-        )
-    star = {m: rep_val[m] for m in sorted(rep_val)}
+        entries = _repeat_set(k, n, entries)
+    for idx, t in entries:
+        members.setdefault(oddsupp_mask(t), []).append(idx)
+    order: list[int] = []
+    spans = []
+    for mask, idxs in members.items():
+        spans.append((mask, len(order), len(order) + len(idxs)))
+        order += idxs
+    return itemgetter(*order), tuple(order), tuple(spans)
+
+
+def _fiber_profile(f: FiniteFunction, restricted: bool) -> OddsuppProfile:
+    # One gather lays the values out fiber by fiber; each fiber is then tested
+    # for constancy by a count over its slice.  The first fiber that holds two
+    # values has the least first member among such fibers, and the first of
+    # its entries with another value is the witness's second tuple.
+    gather, order, spans = _fibers(f.k, f.n, restricted)
+    vals = gather(f.table)
+    star: dict[int, int] = {}
+    for mask, lo, hi in spans:
+        v = vals[lo]
+        if vals[lo:hi].count(v) != hi - lo:
+            second = next(order[i] for i in range(lo + 1, hi) if vals[i] != v)
+            return OddsuppProfile(
+                determined=False,
+                star=None,
+                star_constant=None,
+                witness=(index_to_tuple(f.k, f.n, order[lo]), index_to_tuple(f.k, f.n, second)),
+            )
+        star[mask] = v
+    star = dict(sorted(star.items()))
     star_constant = len(set(star.values())) <= 1
     determined = (not star_constant) if restricted else True
     return OddsuppProfile(determined, star, star_constant, None)

@@ -414,8 +414,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "sampled" and (self.samples is None or self.samples < 0):
+        if self.mode == "sampled" and self.samples is None:
             raise ValueError("sampled mode needs a sample count")
+        if self.mode == "sampled" and self.samples < 0:
+            raise ValueError(f"sample count must be >= 0, got {self.samples}")
         if self.filter is not None:
             parse_instance_filter(self.filter)
 

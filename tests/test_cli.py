@@ -213,6 +213,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
         ("aritygap analyze --in xor2.fn", "ess=2 qa=0 essl=0 gap=2 pair=1,2"),
         ("aritygap gen salomaa --k 3 | aritygap classify", "gap=3 tag=QuasiNullary m=0"),
         (
+            "aritygap gen oddsupp --k 3 --n 4 --b 2 --seed 5 | aritygap oddsupp-check --restricted",
+            "determined=1 star_constant=0 star=0:1,3:1,5:0,6:1",
+        ),
+        (
             "aritygap verify --theorem T4.4 --k 3 --n 5 --b 2 --samples 1000 --seed 7",
             "theorem=T4.4 checked=1002 failures=0 seed=7",
         ),
@@ -609,6 +613,8 @@ TEN_TO_THE_NINE = "table would need 1000000000 entries, over the 100000000 limit
           "--samples", "5"], 2, "codomain size b must be >= 2, got 1"),
         (["verify", "--theorem", "SWIER", "--k", "3", "--n", "40", "--b", "2",
           "--samples", "1"], 2, "table would need 3^40 entries, over the 100000000 limit"),
+        (["verify", "--theorem", "T4.1", "--k", "2", "--n", "3", "--b", "2",
+          "--samples", "-1"], 2, "sample count must be >= 0, got -1"),
     ],
     ids=[
         "enumerate-wide-table",
@@ -628,6 +634,7 @@ TEN_TO_THE_NINE = "table would need 1000000000 entries, over the 100000000 limit
         "verify-small-domain-before-theorem-domain",
         "verify-small-codomain-before-b-equals-k",
         "verify-wide-table-before-b-equals-k",
+        "verify-negative-sample-count",
     ],
 )
 def test_huge_function_space_is_refused_at_once(argv, expected, message):

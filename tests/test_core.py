@@ -123,6 +123,14 @@ def _outcome(call):
             lambda: SweepSpec("T4.1", 2, 2, 2, "random"),
             (ValueError, "unknown mode 'random'"),
         ),
+        (
+            lambda: SweepSpec("T4.1", 2, 2, 2, "sampled"),
+            (ValueError, "sampled mode needs a sample count"),
+        ),
+        (
+            lambda: SweepSpec("T4.1", 2, 2, 2, "sampled", samples=-1),
+            (ValueError, "sample count must be >= 0, got -1"),
+        ),
         (lambda: unique_unary_support(NOT1), UnarySupport((NOT1,), (1,), False)),
         (lambda: unique_unary_support(CONST1), UnarySupport((CONST1,), (), False)),
         (lambda: [DiagonalRestriction(NOT1).contains(t) for t in ((0,), (1,))], [True, True]),
@@ -141,6 +149,8 @@ def _outcome(call):
         "semiprojection-slot-high",
         "semiprojection-slot-low",
         "sweep-mode",
+        "sweep-no-sample-count",
+        "sweep-negative-sample-count",
         "unary-support-unary",
         "unary-support-constant",
         "diagonal-restriction-unary",

@@ -1,13 +1,22 @@
+import functools
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aritygap import (
     FiniteFunction,
+    OddsuppProfile,
     all_tuples,
+    constant,
     from_function,
     gen_oddsupp_determined,
+    index_to_tuple,
     is_determined_by_oddsupp,
     is_restriction_determined_by_oddsupp,
     is_restriction_totally_symmetric,
@@ -16,6 +25,7 @@ from aritygap import (
     reachable_oddsupp_masks,
     tuple_to_index,
 )
+from aritygap.oddsupp import _fiber_profile, _fibers
 
 XOR3 = FiniteFunction(2, 3, 2, (0, 1, 1, 0, 1, 0, 0, 1))
 MAJ3 = FiniteFunction(2, 3, 2, (0, 0, 0, 1, 0, 1, 1, 1))
@@ -189,3 +199,119 @@ def test_witness_pairs_stay_on_repeat_set_when_restricted():
     assert len(set(left)) < 3 and len(set(right)) < 3
     assert oddsupp(left) == oddsupp(right)
     assert f.eval(left) != f.eval(right)
+
+
+@functools.cache
+def reference_entries(k, n, restricted):
+    # (index, oddsupp mask) of each tuple, over the repeat set when restricted.
+    return [
+        (idx, oddsupp_mask(t))
+        for idx, t in enumerate(all_tuples(k, n))
+        if not restricted or len(set(t)) < n
+    ]
+
+
+# The single walk the fiber layout replaced, kept as the reference: a fiber
+# with two values becomes bad_mask at its own first conflicting entry and stays
+# so unless a fiber with a lesser first member conflicts later.
+def reference_profile(f, restricted):
+    rep_idx, rep_val = {}, {}
+    bad_mask = second = None
+    for idx, m in reference_entries(f.k, f.n, restricted):
+        v = f.table[idx]
+        if m not in rep_idx:
+            rep_idx[m] = idx
+            rep_val[m] = v
+        elif v != rep_val[m] and (bad_mask is None or rep_idx[m] < rep_idx[bad_mask]):
+            bad_mask, second = m, idx
+    if bad_mask is not None:
+        witness = (index_to_tuple(f.k, f.n, rep_idx[bad_mask]), index_to_tuple(f.k, f.n, second))
+        return OddsuppProfile(False, None, None, witness)
+    star = {m: rep_val[m] for m in sorted(rep_val)}
+    star_constant = len(set(star.values())) <= 1
+    return OddsuppProfile((not star_constant) if restricted else True, star, star_constant, None)
+
+
+# A fault-injected twin of the layout test: its witness takes the last entry
+# of the first non-constant fiber that differs from the fiber's first value.
+def last_differing_profile(f, restricted):
+    _, order, spans = _fibers(f.k, f.n, restricted)
+    for _, lo, hi in spans:
+        fiber = order[lo:hi]
+        others = [i for i in fiber if f.table[i] != f.table[fiber[0]]]
+        if others:
+            witness = (index_to_tuple(f.k, f.n, fiber[0]), index_to_tuple(f.k, f.n, others[-1]))
+            return OddsuppProfile(False, None, None, witness)
+    return _fiber_profile(f, restricted)
+
+
+def profiles(f, test):
+    out = [repr(test(f, False))]
+    if f.n >= 2:
+        out.append(repr(test(f, True)))
+    return out
+
+
+def exhaustive(k, n, b):
+    return (FiniteFunction(k, n, b, table) for table in itertools.product(range(b), repeat=k**n))
+
+
+REFERENCE_SHAPES = [(2, 2, 2), (2, 3, 2), (3, 2, 3), (2, 4, 2), (2, 2, 4)]
+
+
+@pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_layout_matches_reference_exhaustively(shape):
+    # repr covers the witness, the star with its key order and star_constant.
+    for f in exhaustive(*shape):
+        assert profiles(f, _fiber_profile) == profiles(f, reference_profile), f.table
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_layout_matches_reference_sampled(data):
+    kind = data.draw(st.sampled_from(["random", "constant", "oddsupp-determined"]))
+    k = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(4 if kind == "oddsupp-determined" else 1, 5))
+    b = data.draw(st.integers(2, 4))
+    if kind == "random":
+        table = data.draw(st.lists(st.integers(0, b - 1), min_size=k**n, max_size=k**n))
+        f = FiniteFunction(k, n, b, tuple(table))
+    elif kind == "constant":
+        f = constant(k, n, b, data.draw(st.integers(0, b - 1)))
+    else:
+        f = gen_oddsupp_determined(k, n, b, data.draw(st.integers(0, 2**32 - 1)))
+    assert profiles(f, _fiber_profile) == profiles(f, reference_profile)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (3, 2, 3)], ids=lambda s: "-".join(map(str, s)))
+def test_reference_check_catches_a_late_witness(shape):
+    # The exhaustive comparison, run on the fault-injected twin, must fail.
+    assert any(
+        profiles(f, last_differing_profile) != profiles(f, reference_profile)
+        for f in exhaustive(*shape)
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_layout_memory_at_arity_sixteen():
+    # Resident-set growth of a fresh interpreter over both tests on one
+    # random (2,16,2) table, which builds both of its layouts.  statm reads
+    # the current resident set; ru_maxrss would carry the peak over exec.
+    script = (
+        "import os, random\n"
+        "from aritygap import FiniteFunction, is_determined_by_oddsupp, "
+        "is_restriction_determined_by_oddsupp\n"
+        "def rss():\n"
+        "    with open('/proc/self/statm') as fh:\n"
+        "        return int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "rng = random.Random(0)\n"
+        "f = FiniteFunction(2, 16, 2, tuple(rng.randrange(2) for _ in range(2**16)))\n"
+        "before = rss()\n"
+        "is_determined_by_oddsupp(f)\n"
+        "is_restriction_determined_by_oddsupp(f)\n"
+        "print(rss() - before)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert int(done.stdout) <= 16 << 20
