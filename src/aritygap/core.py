@@ -9,7 +9,7 @@ the public API.
 
 Text interchange format (UTF-8), used by every CLI command:
 
-    line 1:  k n b            (decimal, space separated)
+    line 1:  k n b            (integers, space separated)
     rest:    k^n codomain values in index order, whitespace separated,
              optionally spread over several lines
 
@@ -19,7 +19,9 @@ bad token.  A compact single-line variant with ``;`` standing in for the
 newline after the header is also accepted by ``parse`` (it is the form used
 for failure records in verification reports).  ``render`` always emits the
 two-line form.  A stream is validated as a whole before any function is
-returned, so one bad token anywhere rejects all of it.
+returned, so one bad token anywhere rejects all of it.  Tokens are read by
+``int()``: ``+1``, ``1_0`` and non-ASCII decimal digits pass, ``²`` does not.
+A table of single ASCII digits is read in one pass.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from typing import Callable, Iterator, Sequence
 
 # Guard against absurd table sizes before allocating anything.
 MAX_TABLE_ENTRIES = 10**8
+
+_DIGITS = b"0123456789"
+_DIGIT_VALUES = bytes.maketrans(_DIGITS, bytes(range(10)))
 
 
 class ArityGapError(Exception):
@@ -255,15 +260,22 @@ def parse_stream(text: str) -> list[FiniteFunction]:
             raise error(str(exc), pos) from None
         lo = pos + 3
         chunk = words[lo : lo + size]
-        try:
-            values = tuple(map(int, chunk))
-        except ValueError:
-            values = None
-        if values is None or (values and (min(values) < 0 or max(values) >= b)):
-            for at in range(lo, lo + len(chunk)):
-                v = integer(at, "table value")
-                if not 0 <= v < b:
-                    raise error(f"value {v} not in 0..{b - 1}", at)
+        # Words that are each one ASCII digit below b are read in one bytes
+        # pass; isascii() goes first, as encode() fails on escaped raw bytes.
+        digits = "".join(chunk)
+        raw = len(digits) == len(chunk) and digits.isascii() and digits.encode()
+        if raw and not raw.translate(None, _DIGITS[:b]):
+            values = tuple(raw.translate(_DIGIT_VALUES))
+        else:
+            try:
+                values = tuple(map(int, chunk))
+            except ValueError:
+                values = None
+            if values is None or (values and (min(values) < 0 or max(values) >= b)):
+                for at in range(lo, lo + len(chunk)):
+                    v = integer(at, "table value")
+                    if not 0 <= v < b:
+                        raise error(f"value {v} not in 0..{b - 1}", at)
         if len(chunk) != size:
             raise error(f"expected {size} values, got {len(chunk)}", lo + len(chunk) - 1)
         out.append(FiniteFunction._valid(k, n, b, values))

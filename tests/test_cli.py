@@ -720,6 +720,23 @@ def test_huge_table_is_refused_at_once(argv, text, message):
     assert done.stderr == f"aritygap: {message}, over the 100000000 limit\n"
 
 
+def test_undecodable_input_byte_is_a_located_value_error():
+    # In UTF-8 mode stdin decodes with surrogateescape, so the byte 0xff
+    # arrives as '\udcff' and must be named as a bad value, not fail to encode.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    done = subprocess.run(
+        [sys.executable, "-X", "utf8", "-m", "aritygap", "analyze"],
+        input=b"2 2 2\n0 1 1 \xff\n",
+        capture_output=True,
+        timeout=60,
+        env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == b""
+    message = "line 2, col 7: table value: '\\udcff' is not an integer"
+    assert done.stderr.decode() == f"aritygap: {message}\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_out_on_a_full_device_is_a_file_error():
     # The buffered write to --out fails only when the file is closed, which

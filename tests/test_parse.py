@@ -8,12 +8,16 @@ soups with small numbers, and as rendered valid streams with a few
 characters changed.  Runs are derandomized, so the suite stays deterministic.
 """
 
+import inspect
 import itertools
+import random
 import re
 from typing import Iterator
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from aritygap import core
 from aritygap import FiniteFunction, FunctionFormatError, parse, parse_stream, render, render_line
 from aritygap.core import _check_shape
 from test_substitution import PROFILE, functions
@@ -148,3 +152,72 @@ def test_parse_matches_reference_on_edited_streams(text):
 def test_render_round_trip(f):
     assert parse(render(f)) == f
     assert parse(render_line(f)) == f
+
+
+# Words at the edge of parse_stream's one-digit path: the digit b itself, a
+# digit above b, two-character numbers, int() spellings and non-ASCII
+# characters, among them a raw byte as it arrives from undecodable input.
+BOUNDARY_WORDS = ("b", "9", "00", "10", "+1", "1_0", "٠", "５", "²", "\udcff")
+
+
+@st.composite
+def boundary_streams(draw):
+    # Rendered streams over b = 2..12, so tables take both the one-digit path
+    # and the int() path, with one word replaced by a boundary word.
+    streams = []
+    for _ in range(draw(st.integers(1, 2))):
+        k, b = draw(st.integers(2, 3)), draw(st.integers(2, 12))
+        n = draw(st.integers(1, 4 if k == 2 else 3))
+        table = draw(st.lists(st.integers(0, b - 1), min_size=k**n, max_size=k**n))
+        streams.append([str(w) for w in (k, n, b, *table)])
+    words = streams[draw(st.integers(0, len(streams) - 1))]
+    at = draw(st.integers(0, len(words) - 1))
+    word = draw(st.sampled_from(BOUNDARY_WORDS))
+    words[at] = words[2] if word == "b" else word
+    return "".join(
+        " ".join(ws[:3]) + draw(st.sampled_from(("\n", ";"))) + " ".join(ws[3:]) + "\n"
+        for ws in streams
+    )
+
+
+def check_boundary_words(parser):
+    @settings(FUZZ, max_examples=300)
+    @given(boundary_streams())
+    def check(text):
+        got = outcome(parser, text)
+        assert got == outcome(reference_parse_stream, text)
+        if got[0] == "ok":
+            assert all(type(v) is int for f in got[1] for v in f.table)
+
+    check()
+
+
+def test_parse_matches_reference_at_the_one_digit_boundary():
+    check_boundary_words(parse_stream)
+
+
+def test_boundary_check_fails_a_fast_path_one_digit_too_wide():
+    # A twin of parse_stream whose one-digit path also takes the digit b.
+    source = inspect.getsource(core.parse_stream)
+    assert source.count("_DIGITS[:b]") == 1
+    scope = dict(vars(core))
+    exec(source.replace("_DIGITS[:b]", "_DIGITS[: b + 1]"), scope)
+    with pytest.raises(AssertionError):
+        check_boundary_words(scope["parse_stream"])
+
+
+@pytest.mark.parametrize(
+    "k, n, b, values",
+    [
+        (2, 16, 2, lambda rng, size: [rng.randrange(2) for _ in range(size)]),
+        (3, 4, 11, lambda rng, size: [rng.choice((0, 5, 9, 10, 10)) for _ in range(size)]),
+        (2, 8, 12, lambda rng, size: [rng.randrange(10) for _ in range(size - 1)] + [11]),
+    ],
+    ids=["random-2-16-2", "tens-3-4-11", "last-two-digit-2-8-12"],
+)
+def test_large_table_round_trip(k, n, b, values):
+    f = FiniteFunction(k, n, b, tuple(values(random.Random(f"{k} {n} {b}"), k**n)))
+    text = render(f)
+    g = parse(text)
+    assert g == f
+    assert g.table == tuple(map(int, text.split()[3:]))
