@@ -45,7 +45,7 @@ def _repeat_set(k: int, n: int, items: Iterable, off: bool = False) -> Iterator:
     return compress(items, flags.translate(_FLIP) if off else flags)
 
 
-_RUN_CAP = 64  # entries compared by one slice
+_RUN_CAP = 64  # entries compared by a lead's first slice
 _MIN_RUN = 16  # below this, comparing pairs one by one is faster than slicing
 
 
@@ -57,9 +57,13 @@ def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[int, tuple[tuple[int, 
     # With stride s, each block of k*s entries holds the k values of the slot; a
     # run pairs the entries with digit 0 there with those with digit d,
     # inside a block (step 1) or along a residue mod k*s (step k*s),
-    # whichever is longer.  Runs shorter than _MIN_RUN, and the repeat set
-    # when it is not the whole domain, list pairs instead: in each fiber of
-    # the slot, its first member in the repeat set with each later one.
+    # whichever is longer.  Each such lead is compared in slices that start
+    # at _RUN_CAP entries and grow 4 times per head: a table that depends on
+    # the slot usually differs in the first, and one that does not costs
+    # O(log run) heads, each one memcmp on a packed table.  Runs shorter
+    # than _MIN_RUN, and the repeat set when it is not the whole domain, list
+    # pairs instead: in each fiber of the slot, its first member in the
+    # repeat set with each later one.
     if on_repeat and not 2 <= n <= k:
         return _plan(k, n, False)
     size = k**n
@@ -76,11 +80,12 @@ def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[int, tuple[tuple[int, 
                 heads += [(fiber[0], c, 0, 1) for c in fiber[1:]]
         else:
             step = 1 if run == s else width
-            cap, length = _RUN_CAP * step, run * step
             for lead in range(0, size, width) if step == 1 else range(s):
-                for a in range(lead, lead + length, cap):
-                    span = min(cap, lead + length - a)
+                a, end, span = lead, lead + run * step, _RUN_CAP * step
+                while a < end:
+                    span = min(span, end - a)
                     heads += [(a, a + d * s, span, step) for d in range(1, k)]
+                    a, span = a + span, span * 4
         plan.append((slot, tuple(heads)))
     return tuple(plan)
 
@@ -177,7 +182,7 @@ def restrict_to_essential(f: FiniteFunction) -> tuple[FiniteFunction, tuple[int,
     essential.  With no essential slot at all every slot is fed from one,
     which gives the unary constant f(0,...,0).
     """
-    ids = _essential_ids(f.k, f.n, f.table)
+    ids = _essential_ids(f.k, f.n, f._packed or f.table)
     return (f if len(ids) == f.n else _on_slots(f, ids)), ids
 
 

@@ -4,6 +4,7 @@ two-valued (Boolean) family recognizer, and the pseudo-Boolean reduction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     FiniteFunction,
@@ -58,16 +59,19 @@ def _anf_bits(n: int, table: tuple[int, ...]) -> int:
     # then runs the subset-lattice Moebius transform one bit position at a
     # time: every j with bit p set takes the XOR of j - 2^p.
     x = int(bytes(reversed(table)).translate(_DIGITS), 2)
-    size = 1 << n
-    for p in range(n):
-        w = 1 << p
-        low = (1 << w) - 1  # 2^p ones, then 2^p zeros, repeated to 2^n bits
-        width = 2 * w
-        while width < size:
-            low |= low << width
-            width *= 2
+    for w, low in _moebius_masks(n):
         x ^= (x & low) << w
     return x
+
+
+@lru_cache(maxsize=32)
+def _moebius_masks(n: int) -> tuple[tuple[int, int], ...]:
+    # For each bit position p, (2^p, the 2^n-bit mask of 2^p ones then 2^p
+    # zeros, repeated): the repeat is (2^(2^n) - 1) / (2^(2w) - 1) with w = 2^p.
+    full = (1 << (1 << n)) - 1
+    return tuple(
+        (w, full // ((1 << 2 * w) - 1) * ((1 << w) - 1)) for w in (1 << p for p in range(n))
+    )
 
 
 def anf(f: FiniteFunction) -> AnfPolynomial:

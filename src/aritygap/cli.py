@@ -120,7 +120,7 @@ def _parser(theorems: tuple[str, ...]) -> argparse.ArgumentParser:
 
 def _read_functions(args) -> list[FiniteFunction]:
     if getattr(args, "infile", None):
-        with open(args.infile, encoding="utf-8") as fh:
+        with open(args.infile, encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()

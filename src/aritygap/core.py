@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 # Guard against absurd table sizes before allocating anything.
@@ -142,12 +142,20 @@ class FiniteFunction:
       all three size their tables by ``_check_shape(k, n, b)`` first;
     - ``classify.classify_pseudo_boolean``, whose table ``h`` relabels the
       two values of a valid table over k = 2 as 0 and 1.
+
+    ``_packed`` is the same table as ``bytes`` (entry j is byte j), which the
+    essential-slot scan and ``minors._section`` compare in C.  Only
+    ``parse_stream``'s one-pass read of single-ASCII-digit tables sets it,
+    where those bytes already exist; everywhere else it is None.  It is left
+    out of ``==``, ``hash`` and ``repr``, so a parsed function equals its
+    constructed twin.
     """
 
     k: int
     n: int
     b: int
     table: tuple[int, ...]
+    _packed: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         size = _check_shape(self.k, self.n, self.b)
@@ -160,14 +168,18 @@ class FiniteFunction:
                 raise ValueError(f"table entry {v!r} at index {pos} not in 0..{self.b - 1}")
 
     @classmethod
-    def _valid(cls, k: int, n: int, b: int, table: tuple[int, ...]) -> FiniteFunction:
+    def _valid(
+        cls, k: int, n: int, b: int, table: tuple[int, ...], packed: bytes | None = None
+    ) -> FiniteFunction:
         # The function with these fields, which the caller knows to be valid,
-        # without the per-entry checks of __post_init__.
+        # without the per-entry checks of __post_init__; packed, if given, is
+        # bytes(table).
         f = object.__new__(cls)
         _set_k(f, k)
         _set_n(f, n)
         _set_b(f, b)
         _set_table(f, table)
+        _set_packed(f, packed)
         return f
 
     @property
@@ -194,8 +206,8 @@ class FiniteFunction:
 
 
 # The slots' own setters, which _valid calls past the frozen __setattr__.
-_set_k, _set_n, _set_b, _set_table = (
-    vars(FiniteFunction)[name].__set__ for name in ("k", "n", "b", "table")
+_set_k, _set_n, _set_b, _set_table, _set_packed = (
+    vars(FiniteFunction)[name].__set__ for name in ("k", "n", "b", "table", "_packed")
 )
 
 
@@ -264,8 +276,10 @@ def parse_stream(text: str) -> list[FiniteFunction]:
         # pass; isascii() goes first, as encode() fails on escaped raw bytes.
         digits = "".join(chunk)
         raw = len(digits) == len(chunk) and digits.isascii() and digits.encode()
+        packed = None
         if raw and not raw.translate(None, _DIGITS[:b]):
-            values = tuple(raw.translate(_DIGIT_VALUES))
+            packed = raw.translate(_DIGIT_VALUES)
+            values = tuple(packed)
         else:
             try:
                 values = tuple(map(int, chunk))
@@ -278,7 +292,7 @@ def parse_stream(text: str) -> list[FiniteFunction]:
                         raise error(f"value {v} not in 0..{b - 1}", at)
         if len(chunk) != size:
             raise error(f"expected {size} values, got {len(chunk)}", lo + len(chunk) - 1)
-        out.append(FiniteFunction._valid(k, n, b, values))
+        out.append(FiniteFunction._valid(k, n, b, values, packed))
         pos = lo + size
     return out
 

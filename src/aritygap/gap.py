@@ -109,16 +109,17 @@ def arity_gap(f: FiniteFunction) -> GapReport:
     ess = len(slots)
     if ess < 2:
         raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
+    table = g._packed or g.table
     best = -1
     best_pair = (1, 2)
     for i, j in combinations(range(1, ess + 1), 2):
-        e = len(_essential_ids(g.k, ess - 1, _section(g.k, ess, i, j, g.table)))
+        e = len(_essential_ids(g.k, ess - 1, _section(g.k, ess, i, j, table)))
         if e > best:
             best = e
             best_pair = (i, j)
             if e == ess - 1:
                 break
-    ids = _essential_ids(g.k, ess, g.table, on_repeat=True)
+    ids = _essential_ids(g.k, ess, table, on_repeat=True)
     qa = quasi_arity(g) if ess == 2 else len(ids)
     support = _substitute(diagonal(g), ess, ids or (1,)) if qa <= 1 else None
     return GapReport(

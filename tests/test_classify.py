@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aritygap import (
     AnfPolynomial,
@@ -93,11 +94,28 @@ def subset_lattice_anf(n, table):
     return coef
 
 
+def masks_per_call_anf(n, table):
+    # _anf_bits as it was before its masks were kept per n: each bit
+    # position's mask is rebuilt by doubling on every call.
+    x = int("".join(map(str, reversed(table))), 2)
+    size = 1 << n
+    for p in range(n):
+        w = 1 << p
+        low = (1 << w) - 1
+        width = 2 * w
+        while width < size:
+            low |= low << width
+            width *= 2
+        x ^= (x & low) << w
+    return x
+
+
 def test_anf_bits_match_the_subset_lattice_transform():
     def check(n, table):
         x = _anf_bits(n, table)
         assert x >> (1 << n) == 0
         assert [x >> j & 1 for j in range(1 << n)] == subset_lattice_anf(n, table)
+        assert x == masks_per_call_anf(n, table)
 
     for n in range(1, 5):
         for table in itertools.product(range(2), repeat=1 << n):
@@ -108,6 +126,20 @@ def test_anf_bits_match_the_subset_lattice_transform():
             check(n, tuple(rng.randrange(2) for _ in range(1 << n)))
         check(n, (0,) * (1 << n))
         check(n, (1,) * (1 << n))
+
+
+@st.composite
+def boolean_tables(draw):
+    n = draw(st.integers(1, 10))
+    raw = draw(st.binary(min_size=1 << n, max_size=1 << n))
+    return n, tuple(v & 1 for v in raw)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(boolean_tables())
+def test_anf_bits_match_per_call_masks(case):
+    n, table = case
+    assert _anf_bits(n, table) == masks_per_call_anf(n, table)
 
 
 def test_anf_evaluate_matches_definition():

@@ -737,6 +737,23 @@ def test_undecodable_input_byte_is_a_located_value_error():
     assert done.stderr.decode() == f"aritygap: {message}\n"
 
 
+@pytest.mark.parametrize("mode", ["utf8", "utf8=0"])
+def test_undecodable_file_byte_is_the_same_located_value_error(mode, tmp_path):
+    # --in decodes with surrogateescape whatever the interpreter's mode, so
+    # the byte 0xff gets the message it gets on stdin in UTF-8 mode.
+    path = tmp_path / "bad.fn"
+    path.write_bytes(b"2 2 2\n0 1 1 \xff\n")
+    done = subprocess.run(
+        [sys.executable, "-X", mode, "-m", "aritygap", "analyze", "--in", str(path)],
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == b""
+    message = "line 2, col 7: table value: '\\udcff' is not an integer"
+    assert done.stderr.decode() == f"aritygap: {message}\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_out_on_a_full_device_is_a_file_error():
     # The buffered write to --out fails only when the file is closed, which

@@ -1,0 +1,163 @@
+"""A parsed table keeps its bytes beside the tuple; both forms give the same
+answers in every layer.
+
+`parse_stream` reads a table of single ASCII digits in one bytes pass and
+keeps those bytes as `FiniteFunction._packed`; the essential-slot scan and the
+section builder then compare bytes instead of tuples of ints.  Each example
+is a parsed (packed) function and its constructed (tuple) twin, run through
+the same layers; essential slots are also checked against a scan of every
+fiber of every slot.  Tables of 4,096 entries and more may differ in one
+entry of the last slice of a slot's run, the only place that makes the slot
+essential.  Runs are derandomized, so the suite stays deterministic.
+"""
+
+import inspect
+import itertools
+import pickle
+
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from aritygap import (
+    FiniteFunction,
+    GapUndefinedError,
+    arity_gap,
+    classify,
+    parse,
+    quasi_arity,
+    render,
+    restrict_to_essential,
+)
+from aritygap import analysis
+from aritygap.analysis import _essential_ids
+from aritygap.minors import _section
+
+SMALL = ((2, 5), (3, 3), (3, 4), (4, 4))
+LARGE = ((2, 12), (3, 8), (4, 6))
+RUN = 64  # entries in the first slice of a run; each later slice is 4 times longer
+EXAMPLES = settings(derandomize=True, max_examples=30, deadline=None, report_multiple_bugs=False)
+
+
+def last_slice(k, n, slot):
+    """The indices with digit 0 at slot that fall in the last slice of their
+    run: a run pairs digit 0 with digit d inside a block of k*s entries or
+    along a residue mod k*s, whichever is longer, and is cut into slices of
+    RUN, 4*RUN, 16*RUN, ... entries."""
+    s = k ** (n - slot)
+    width = k * s
+    run = max(s, k**n // width)
+    step = 1 if run == s else width
+    start, span = 0, RUN
+    while start + span < run:
+        start, span = start + span, span * 4
+    leads = range(0, k**n, width) if step == 1 else range(s)
+    return [lead + p * step for lead in leads for p in range(start, run)]
+
+
+def reference_ids(f, on_repeat=False):
+    """The slots on some fiber of which f takes two values (both points with a
+    repeated coordinate when on_repeat; every unary point counts as one)."""
+    k, n = f.k, f.n
+    keep = [
+        not on_repeat or n == 1 or len(set(t)) < n for t in itertools.product(range(k), repeat=n)
+    ]
+    out = []
+    for slot in range(1, n + 1):
+        s = k ** (n - slot)
+        fibers = {}
+        for idx, v in enumerate(f.table):
+            if keep[idx]:
+                fibers.setdefault(idx - idx // s % k * s, set()).add(v)
+        if any(len(values) > 1 for values in fibers.values()):
+            out.append(slot)
+    return tuple(out)
+
+
+@st.composite
+def tables(draw, shapes):
+    """A table over a drawn shape that depends on at most 3 random slots or
+    on all of them, as a random table of those slots or as their sum mod b,
+    with one entry in the last slice of a run of some other slot changed or
+    not."""
+    k, n = draw(st.sampled_from(shapes))
+    b = draw(st.sampled_from((2, 3, 10)))
+    slots = sorted(draw(st.sets(st.integers(1, n), max_size=3) | st.just(range(1, n + 1))))
+    if draw(st.booleans()):
+        size = k ** len(slots)
+        core = draw(st.lists(st.integers(0, b - 1), min_size=size, max_size=size))
+    else:
+        core = [sum(t) % b for t in itertools.product(range(k), repeat=len(slots))]
+    table = []
+    for t in itertools.product(range(k), repeat=n):
+        pos = 0
+        for s in slots:
+            pos = pos * k + t[s - 1]
+        table.append(core[pos])
+    free = [s for s in range(1, n + 1) if s not in slots]
+    if k**n >= 4096 and free and draw(st.booleans()):
+        slot = draw(st.sampled_from(free))
+        idx = draw(st.sampled_from(last_slice(k, n, slot)))
+        idx += draw(st.integers(1, k - 1)) * k ** (n - slot)  # its partner with digit d
+        table[idx] = (table[idx] + draw(st.integers(1, b - 1))) % b
+    return FiniteFunction(k, n, b, tuple(table))
+
+
+def outcome(layer, f):
+    try:
+        return layer(f)
+    except GapUndefinedError as exc:
+        return type(exc), str(exc)
+
+
+def check_twins(t):
+    k, n = t.k, t.n
+    p = parse(render(t))
+    assert p._packed == bytes(t.table) and t._packed is None
+    assert type(p.table) is tuple and type(t.table) is tuple
+    assert p == t and hash(p) == hash(t) and repr(p) == repr(t)
+    assert pickle.loads(pickle.dumps(p)) == t and pickle.loads(pickle.dumps(t)) == p
+    for on_repeat in (False, True):
+        ids = reference_ids(t, on_repeat)
+        assert _essential_ids(k, n, p._packed, on_repeat) == ids
+        assert _essential_ids(k, n, t.table, on_repeat) == ids
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        assert list(_section(k, n, i, j, p._packed)) == _section(k, n, i, j, t.table)
+    assert restrict_to_essential(p) == restrict_to_essential(t)
+    assert quasi_arity(p) == quasi_arity(t)
+    assert outcome(arity_gap, p) == outcome(arity_gap, t)
+    assert outcome(classify, p) == outcome(classify, t)
+
+
+@EXAMPLES
+@given(tables(SMALL))
+def test_packed_and_tuple_twins_agree_on_small_tables(t):
+    check_twins(t)
+
+
+@EXAMPLES
+@given(tables(LARGE))
+def test_packed_and_tuple_twins_agree_on_large_tables(t):
+    check_twins(t)
+
+
+def test_twin_check_fails_a_plan_without_its_last_slice(monkeypatch):
+    # A twin of _plan whose runs stop before the slice that reaches their end.
+    source = inspect.getsource(analysis._plan)
+    assert source.count("while a < end:") == 1
+    scope = dict(vars(analysis))
+    exec(source.replace("while a < end:", "while a + span < end:"), scope)
+    monkeypatch.setattr(analysis, "_plan", scope["_plan"])
+
+    @settings(EXAMPLES, phases=[Phase.generate])
+    @given(tables(LARGE))
+    def check(t):
+        check_twins(t)
+
+    with pytest.raises(AssertionError):
+        check()
+
+
+def test_plan_heads_grow_per_run():
+    # Slices that grow 4 times per head hold (2,18) to a few thousand heads;
+    # fixed 64-entry slices took 36,864.
+    assert sum(len(heads) for _, heads in analysis._plan(2, 18, False)) <= 4096
