@@ -122,8 +122,10 @@ def _read_functions(args) -> list[FiniteFunction]:
     if getattr(args, "infile", None):
         with open(args.infile, encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
+    elif hasattr(sys.stdin, "buffer"):
+        text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
     else:
-        text = sys.stdin.read()
+        text = sys.stdin.read()  # an in-process caller's StringIO
     fns = parse_stream(text)
     if not fns:
         raise FunctionFormatError("no function in input")

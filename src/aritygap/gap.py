@@ -119,7 +119,8 @@ def arity_gap(f: FiniteFunction) -> GapReport:
             best_pair = (i, j)
             if e == ess - 1:
                 break
-    ids = _essential_ids(g.k, ess, table, on_repeat=True)
+    # The repeat set on the tuple: at ess <= k it is scanned pair by pair.
+    ids = _essential_ids(g.k, ess, g.table, on_repeat=True)
     qa = quasi_arity(g) if ess == 2 else len(ids)
     support = _substitute(diagonal(g), ess, ids or (1,)) if qa <= 1 else None
     return GapReport(

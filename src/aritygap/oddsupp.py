@@ -9,7 +9,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
-from .core import FiniteFunction, all_tuples, index_to_tuple
+from .core import FiniteFunction, index_to_tuple
 from .analysis import _repeat_set
 
 
@@ -25,11 +25,6 @@ def oddsupp_mask(t: Sequence[int]) -> int:
         if c % 2 == 1:
             mask |= 1 << v
     return mask
-
-
-@lru_cache(maxsize=64)
-def _oddsupp_masks(k: int, n: int) -> tuple[int, ...]:
-    return tuple(oddsupp_mask(t) for t in all_tuples(k, n))
 
 
 @dataclass(frozen=True)
@@ -58,13 +53,21 @@ def _fibers(
     # layout position, and each fiber's (mask, start, end) in it.  Fibers
     # come in the order of their first members, and each fiber's entries in
     # index order.  k >= 2 and n >= 1 (n >= 2 when restricted) leave at
-    # least two indices, so the gather always returns a tuple.
-    members: dict[int, list[int]] = {}
-    entries = enumerate(all_tuples(k, n))
+    # least two indices, so the gather always returns a tuple.  A mask is
+    # the XOR of 1 << v over a tuple, and expanding one slot at a time (the
+    # last lazily) yields the masks in index order.  At n > k every tuple
+    # repeats, so the restricted layout is the whole-domain one, shared.
+    if restricted and n > k:
+        return _fibers(k, n, False)
+    masks = [0]
+    for _ in range(n - 1):
+        masks = [m ^ 1 << a for m in masks for a in range(k)]
+    entries = enumerate(m ^ 1 << a for m in masks for a in range(k))
     if restricted:
         entries = _repeat_set(k, n, entries)
-    for idx, t in entries:
-        members.setdefault(oddsupp_mask(t), []).append(idx)
+    members: dict[int, list[int]] = {}
+    for idx, mask in entries:
+        members.setdefault(mask, []).append(idx)
     order: list[int] = []
     spans = []
     for mask, idxs in members.items():
@@ -115,8 +118,5 @@ def is_restriction_determined_by_oddsupp(f: FiniteFunction) -> OddsuppProfile:
 
 
 def reachable_oddsupp_masks(k: int, n: int, restricted: bool = False) -> tuple[int, ...]:
-    """All oddsupp bitmasks realized by tuples, by direct enumeration."""
-    masks = _oddsupp_masks(k, n)
-    if restricted:
-        masks = _repeat_set(k, n, masks)
-    return tuple(sorted(set(masks)))
+    """The oddsupp masks of the tuples (of the repeat set when restricted), sorted."""
+    return tuple(sorted(mask for mask, _, _ in _fibers(k, n, restricted)[2]))

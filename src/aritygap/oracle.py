@@ -41,11 +41,7 @@ from .analysis import _repeat_set, is_restriction_totally_symmetric
 from .classify import classify_pseudo_boolean, ternary_pattern
 from .gap import arity_gap, is_semiprojection, quasi_arity
 from .minors import _substitute, identification_minor
-from .oddsupp import (
-    _oddsupp_masks,
-    is_restriction_determined_by_oddsupp,
-    reachable_oddsupp_masks,
-)
+from .oddsupp import is_restriction_determined_by_oddsupp, oddsupp_mask, reachable_oddsupp_masks
 
 DEFAULT_BUDGET = 10**7
 GENERATOR_ATTEMPTS = 1000
@@ -315,7 +311,7 @@ def gen_oddsupp_determined(k: int, n: int, b: int, seed: int) -> FiniteFunction:
     # oddsupp, so at least two masks are reachable.
     reach = reachable_oddsupp_masks(k, n, restricted=True)
     rng = random.Random(seed)
-    masks = _oddsupp_masks(k, n)
+    masks = [oddsupp_mask(t) for t in all_tuples(k, n)]
 
     def attempt() -> FiniteFunction | None:
         star = {mask: rng.randrange(b) for mask in reach}

@@ -737,6 +737,23 @@ def test_undecodable_input_byte_is_a_located_value_error():
     assert done.stderr.decode() == f"aritygap: {message}\n"
 
 
+def test_undecodable_stdin_byte_is_located_under_a_strict_stdin_encoding():
+    # A strict UTF-8 stdin would fail to decode 0xff before the parser saw
+    # it; stdin is read as bytes and decoded as --in is, so the byte is named.
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    done = subprocess.run(
+        [sys.executable, "-m", "aritygap", "analyze"],
+        input=b"2 2 2\n0 1 1 \xff\n",
+        capture_output=True,
+        timeout=60,
+        env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == b""
+    message = "line 2, col 7: table value: '\\udcff' is not an integer"
+    assert done.stderr.decode() == f"aritygap: {message}\n"
+
+
 @pytest.mark.parametrize("mode", ["utf8", "utf8=0"])
 def test_undecodable_file_byte_is_the_same_located_value_error(mode, tmp_path):
     # --in decodes with surrogateescape whatever the interpreter's mode, so

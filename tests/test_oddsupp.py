@@ -171,6 +171,17 @@ def test_reachable_mask_count_formula(k, n):
             if s % 2 == n % 2
         )
         assert len(restricted) == expected_r
+    # The masks read off the layouts against the Counter-based masks.
+    tuples = list(all_tuples(k, n))
+    assert masks == tuple(sorted({oddsupp_mask(t) for t in tuples}))
+    if n >= 2:
+        repeat = {oddsupp_mask(t) for t in tuples if len(set(t)) < n}
+        assert restricted == tuple(sorted(repeat))
+
+
+@pytest.mark.parametrize("k, n", [(2, 3), (2, 5), (3, 4), (4, 5)])
+def test_restricted_layout_is_the_whole_domain_one_when_every_tuple_repeats(k, n):
+    assert _fibers(k, n, True) is _fibers(k, n, False)
 
 
 def test_oddsupp_witnesses_always_have_two_masks_to_map():
@@ -295,23 +306,30 @@ def test_reference_check_catches_a_late_witness(shape):
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 def test_layout_memory_at_arity_sixteen():
     # Resident-set growth of a fresh interpreter over both tests on one
-    # random (2,16,2) table, which builds both of its layouts.  statm reads
-    # the current resident set; ru_maxrss would carry the peak over exec.
+    # random (2,n,2) table, which builds its layout (at n > k the restricted
+    # one is the whole-domain one).  statm reads the current resident set;
+    # ru_maxrss would carry the peak over exec.
     script = (
-        "import os, random\n"
+        "import os, random, sys\n"
         "from aritygap import FiniteFunction, is_determined_by_oddsupp, "
         "is_restriction_determined_by_oddsupp\n"
         "def rss():\n"
         "    with open('/proc/self/statm') as fh:\n"
         "        return int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "n = int(sys.argv[1])\n"
         "rng = random.Random(0)\n"
-        "f = FiniteFunction(2, 16, 2, tuple(rng.randrange(2) for _ in range(2**16)))\n"
+        "f = FiniteFunction(2, n, 2, tuple(rng.randrange(2) for _ in range(2**n)))\n"
         "before = rss()\n"
         "is_determined_by_oddsupp(f)\n"
         "is_restriction_determined_by_oddsupp(f)\n"
         "print(rss() - before)\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, check=True
-    )
-    assert int(done.stdout) <= 16 << 20
+    for n, bound in ((16, 16 << 20), (18, 20 << 20)):
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(n)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert int(done.stdout) <= bound, (n, int(done.stdout))
