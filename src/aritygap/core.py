@@ -73,13 +73,8 @@ class FunctionFormatError(ValueError):
         self.message = message
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f"line {line}"
-            if column is not None:
-                where += f", col {column}"
-            where += ": "
-        super().__init__(where + message)
+        col = "" if column is None else f", col {column}"
+        super().__init__(("" if line is None else f"line {line}{col}: ") + message)
 
 
 def _check_shape(k: int, n: int, b: int) -> int:

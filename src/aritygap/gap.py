@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from typing import Sequence
 
 from .core import (
     FiniteFunction,
@@ -13,7 +15,17 @@ from .core import (
     all_tuples,
 )
 from .analysis import _essential_ids, _repeat_set, restrict_to_essential
-from .minors import _section, _substitute, diagonal
+from .minors import _copy_section, _section_layout, _substitute, diagonal
+
+# The section layouts of tables of up to 1,024 entries, kept per shape and
+# pair (at most 45 pairs a shape); a larger table's are built for its call.
+_small_layout = lru_cache(maxsize=256)(_section_layout)
+
+
+def _section(k: int, n: int, i: int, j: int, table: Sequence[int]) -> Sequence[int]:
+    # minors._section, with a small table's layout read from _small_layout.
+    layout = (_small_layout if k**n <= 1024 else _section_layout)(k, n, i, j)
+    return _copy_section(k, n, table, layout)
 
 
 def quasi_arity(f: FiniteFunction) -> int:
@@ -92,19 +104,10 @@ class GapReport:
     support: FiniteFunction | None
 
 
-def arity_gap(f: FiniteFunction) -> GapReport:
-    """Minimum drop in essential arity over identifications of two essential slots.
-
-    The function is first replaced by the equivalent one on its essential
-    slots, then unordered pairs of slots are identified in lexicographic
-    order; the reported pair is the least one achieving the minimum drop,
-    mapped back to the original numbering.  Each pair (i, j) is scanned on
-    the (n-1)-ary section x_i = x_j, which has the essential slots of the
-    identification minor (the minor does not depend on slot i).  The scan
-    stops at the first minor with ess - 1 essential slots: identifying slot
-    i with slot j makes slot i inessential, so no minor keeps more, and the
-    result is exact.  Quasi-arity and support come from one repeat-set scan.
-    """
+def _pair_scan(f: FiniteFunction) -> tuple[FiniteFunction, tuple[int, ...], int, tuple[int, int]]:
+    # f on its essential slots, those slots, the most essential slots kept
+    # by a minor identifying two of them, and the least pair keeping that
+    # many, in f's numbering: arity_gap without the repeat-set scan.
     g, slots = restrict_to_essential(f)
     ess = len(slots)
     if ess < 2:
@@ -119,16 +122,27 @@ def arity_gap(f: FiniteFunction) -> GapReport:
             best_pair = (i, j)
             if e == ess - 1:
                 break
+    return g, slots, best, (slots[best_pair[0] - 1], slots[best_pair[1] - 1])
+
+
+def arity_gap(f: FiniteFunction) -> GapReport:
+    """Minimum drop in essential arity over identifications of two essential slots.
+
+    The function is first replaced by the equivalent one on its essential
+    slots, then unordered pairs of slots are identified in lexicographic
+    order; the reported pair is the least one achieving the minimum drop,
+    mapped back to the original numbering.  Each pair (i, j) is scanned on
+    the (n-1)-ary section x_i = x_j, which has the essential slots of the
+    identification minor (the minor does not depend on slot i).  The scan
+    stops at the first minor with ess - 1 essential slots: identifying slot
+    i with slot j makes slot i inessential, so no minor keeps more, and the
+    result is exact.  Quasi-arity and support come from one repeat-set scan,
+    which callers that read only the gap skip by calling `_pair_scan`.
+    """
+    g, slots, essl, pair = _pair_scan(f)
+    ess = len(slots)
     # The repeat set on the tuple: at ess <= k it is scanned pair by pair.
     ids = _essential_ids(g.k, ess, g.table, on_repeat=True)
     qa = quasi_arity(g) if ess == 2 else len(ids)
     support = _substitute(diagonal(g), ess, ids or (1,)) if qa <= 1 else None
-    return GapReport(
-        ess=ess,
-        qa=qa,
-        essl=best,
-        gap=ess - best,
-        pair=(slots[best_pair[0] - 1], slots[best_pair[1] - 1]),
-        essential=slots,
-        support=support,
-    )
+    return GapReport(ess, qa, essl, ess - essl, pair, slots, support)

@@ -20,11 +20,7 @@ def oddsupp(t: Sequence[int]) -> frozenset[int]:
 
 def oddsupp_mask(t: Sequence[int]) -> int:
     """oddsupp as a bitmask over domain elements."""
-    mask = 0
-    for v, c in Counter(t).items():
-        if c % 2 == 1:
-            mask |= 1 << v
-    return mask
+    return sum(1 << v for v in oddsupp(t))
 
 
 @dataclass(frozen=True)
@@ -88,12 +84,8 @@ def _fiber_profile(f: FiniteFunction, restricted: bool) -> OddsuppProfile:
         v = vals[lo]
         if vals[lo:hi].count(v) != hi - lo:
             second = next(order[i] for i in range(lo + 1, hi) if vals[i] != v)
-            return OddsuppProfile(
-                determined=False,
-                star=None,
-                star_constant=None,
-                witness=(index_to_tuple(f.k, f.n, order[lo]), index_to_tuple(f.k, f.n, second)),
-            )
+            witness = (index_to_tuple(f.k, f.n, order[lo]), index_to_tuple(f.k, f.n, second))
+            return OddsuppProfile(False, None, None, witness)
         star[mask] = v
     star = dict(sorted(star.items()))
     star_constant = len(set(star.values())) <= 1

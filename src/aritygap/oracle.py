@@ -39,7 +39,7 @@ from .core import (
 )
 from .analysis import _repeat_set, is_restriction_totally_symmetric
 from .classify import classify_pseudo_boolean, ternary_pattern
-from .gap import arity_gap, is_semiprojection, quasi_arity
+from .gap import _pair_scan, arity_gap, is_semiprojection, quasi_arity
 from .minors import _substitute, identification_minor
 from .oddsupp import is_restriction_determined_by_oddsupp, oddsupp_mask, reachable_oddsupp_masks
 
@@ -342,14 +342,10 @@ def gen_ternary_pattern(
     if any(i not in (0, 1) for i in pattern):
         raise ValueError(f"pattern bits must be 0 or 1, got {pattern}")
     rng = random.Random(seed)
-    if b is None:
-        b = k
+    b = k if b is None else b
     _check_shape(k, 3, b)
     if h_table is None:
-        if b == k:
-            h_table = tuple(range(k))
-        else:
-            h_table = tuple(rng.randrange(b) for _ in range(k))
+        h_table = range(k) if b == k else [rng.randrange(b) for _ in range(k)]
     h_table = tuple(h_table)
     if len(set(h_table)) < 2:
         raise ValueError("h must be nonconstant")
@@ -431,7 +427,7 @@ def parse_instance_filter(text: str) -> Callable[[FiniteFunction], bool]:
 
     def by_gap(f: FiniteFunction) -> bool:
         try:
-            return arity_gap(f).gap == want
+            return _gap(f) == want
         except GapUndefinedError:
             return False
 
@@ -474,8 +470,14 @@ def _check_minors_unary_iff_quasi_unary(f: FiniteFunction) -> bool | None:
     return left == (quasi_arity(f) == 1)
 
 
+@lru_cache(maxsize=1)
+def _projection_tables(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    # The n projection tables of a shape; a sweep stays at one shape.
+    return tuple(projection(k, n, t).table for t in range(1, n + 1))
+
+
 def _check_swierczkowski(f: FiniteFunction) -> bool | None:
-    projections = [projection(f.k, f.n, t).table for t in range(1, f.n + 1)]
+    projections = _projection_tables(f.k, f.n)
     left = all(t in projections for _, _, t in _id_minors(f))
     return left == (is_semiprojection(f) is not None)
 
@@ -484,15 +486,21 @@ def _check_quasi_arity_oracle(f: FiniteFunction) -> bool | None:
     return quasi_arity(f) == oracle_quasi_arity(f)
 
 
+def _gap(f: FiniteFunction) -> int:
+    # arity_gap(f).gap, without the repeat-set scan.
+    _, slots, essl, _ = _pair_scan(f)
+    return len(slots) - essl
+
+
 def _check_gap_low_quasi_arity(f: FiniteFunction) -> bool | None:
     m = quasi_arity(f)
     if m >= f.n:
         return None
-    return arity_gap(f).gap == f.n - m
+    return _gap(f) == f.n - m
 
 
 def _check_gap_at_most_two(f: FiniteFunction) -> bool | None:
-    return arity_gap(f).gap <= 2
+    return _gap(f) <= 2
 
 
 def _check_gap_iff_quasi_arity(f: FiniteFunction) -> bool | None:
@@ -514,11 +522,11 @@ def _check_pseudo_boolean_classifier(f: FiniteFunction) -> bool | None:
 def _check_large_range_gap_one(f: FiniteFunction) -> bool | None:
     if len(set(f.table)) <= 2 ** (f.k - 1):
         return None
-    return arity_gap(f).gap == 1
+    return _gap(f) == 1
 
 
 def _check_symmetry_of_gap_two(f: FiniteFunction) -> bool | None:
-    if arity_gap(f).gap != 2:
+    if _gap(f) != 2:
         return None
     if not is_restriction_totally_symmetric(f):
         return False
@@ -538,7 +546,7 @@ def _check_gap_two_criterion(f: FiniteFunction) -> bool | None:
 
 
 def _check_gap_two_ternary(f: FiniteFunction) -> bool | None:
-    return (arity_gap(f).gap == 2) == (ternary_pattern(f) is not None)
+    return (_gap(f) == 2) == (ternary_pattern(f) is not None)
 
 
 @dataclass(frozen=True)
@@ -844,15 +852,7 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
         parts = [sweep((0, total))]
     parts.append(_check_each(spec, extras))
     checked = sum(part_checked for part_checked, _ in parts)
-    failure_tables = [t for _, part_failures in parts for t in part_failures]
-
-    failures = tuple(
-        FiniteFunction(spec.k, spec.n, spec.b, t) for t in sorted(set(failure_tables))
-    )
-    return VerificationReport(
-        theorem=spec.theorem,
-        checked=checked,
-        failures=failures,
-        seed=spec.seed if spec.mode == "sampled" else None,
-        elapsed=time.perf_counter() - start,
-    )
+    tables = sorted({t for _, part_failures in parts for t in part_failures})
+    failures = tuple(FiniteFunction(spec.k, spec.n, spec.b, t) for t in tables)
+    seed = spec.seed if spec.mode == "sampled" else None
+    return VerificationReport(spec.theorem, checked, failures, seed, time.perf_counter() - start)

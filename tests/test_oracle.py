@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aritygap
+import aritygap.gap
 
 from aritygap import (
     FiniteFunction,
@@ -664,6 +665,49 @@ def test_verify_swierczkowski_with_witnesses():
     report = verify(SweepSpec("SWIER", 3, 4, 3, "sampled", samples=60, seed=2))
     assert report.failures == ()
     assert report.checked >= 60
+
+
+def test_swierczkowski_builds_the_projections_once_per_shape(monkeypatch):
+    # The projection tables depend on the shape alone: two sweeps at each
+    # of two shapes build them once per shape.
+    real = oracle.projection
+    built = []
+
+    def counting(k, n, t):
+        built.append((k, n, t))
+        return real(k, n, t)
+
+    monkeypatch.setattr(oracle, "projection", counting)
+    oracle._projection_tables.cache_clear()
+    for n in (4, 5):
+        for seed in (0, 1):
+            report = verify(SweepSpec("SWIER", 2, n, 2, "sampled", samples=100, seed=seed))
+            assert report.failures == () and report.checked >= 100
+    assert built == [(2, n, t) for n in (4, 5) for t in range(1, n + 1)]
+
+
+def test_quasi_full_sweeps_scan_the_repeat_set_once_per_function(monkeypatch):
+    # The quasi_full hypothesis is decided by one repeat-set scan, and the
+    # T4.3 predicate reads only the gap, so it makes no second scan.  The
+    # battery is built first, so that only the sweep's own calls count.
+    battery = constructed_witnesses(3, 4, 3, 0)
+    monkeypatch.setattr(oracle, "constructed_witnesses", lambda k, n, b, seed: battery)
+    real_ids, real_quasi_arity = aritygap.gap._essential_ids, oracle.quasi_arity
+    scans, decided = [], []
+
+    def counting_ids(*args, **kwargs):
+        scans.append(kwargs.get("on_repeat", False))
+        return real_ids(*args, **kwargs)
+
+    def counting_quasi_arity(f):
+        decided.append(f)
+        return real_quasi_arity(f)
+
+    monkeypatch.setattr(aritygap.gap, "_essential_ids", counting_ids)
+    monkeypatch.setattr(oracle, "quasi_arity", counting_quasi_arity)
+    report = verify(SweepSpec("T4.3", 3, 4, 3, "sampled", samples=500, seed=0))
+    assert report.failures == () and report.checked == 502
+    assert scans.count(True) == len(decided) == 502
 
 
 @pytest.mark.parametrize(

@@ -16,13 +16,15 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from aritygap import (
     FiniteFunction,
     GapUndefinedError,
     arity_gap,
     classify,
+    gen_salomaa,
+    oracle_gap,
     parse,
     quasi_arity,
     render,
@@ -30,10 +32,12 @@ from aritygap import (
 )
 from aritygap import analysis
 from aritygap.analysis import _essential_ids
+from aritygap.gap import _pair_scan
 from aritygap.minors import _section
 
 SMALL = ((2, 5), (3, 3), (3, 4), (4, 4))
 LARGE = ((2, 12), (3, 8), (4, 6))
+SCAN = tuple((2, n) for n in range(2, 7)) + ((3, 2), (3, 3), (3, 4), (4, 3))
 RUN = 64  # entries in the first slice of a run; each later slice is 4 times longer
 EXAMPLES = settings(derandomize=True, max_examples=30, deadline=None, report_multiple_bugs=False)
 
@@ -161,3 +165,21 @@ def test_plan_heads_grow_per_run():
     # Slices that grow 4 times per head hold (2,18) to a few thousand heads;
     # fixed 64-entry slices took 36,864.
     assert sum(len(heads) for _, heads in analysis._plan(2, 18, False)) <= 4096
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, report_multiple_bugs=False)
+@given(tables(SCAN))
+@example(gen_salomaa(3))  # gap 3
+@example(gen_salomaa(4))  # gap 4
+def test_pair_scan_agrees_with_arity_gap_and_oracle_gap(t):
+    # The gap-only scan gives arity_gap's slots, essl and pair on both forms,
+    # and its gap is the one the definitional oracle finds.
+    for f in (t, parse(render(t))):
+        try:
+            r = arity_gap(f)
+        except GapUndefinedError:
+            assert outcome(_pair_scan, f) == outcome(oracle_gap, f) == outcome(arity_gap, f)
+            continue
+        _, slots, essl, pair = _pair_scan(f)
+        assert (slots, essl, pair) == (r.essential, r.essl, r.pair)
+        assert len(slots) - essl == oracle_gap(f)

@@ -42,8 +42,9 @@ from aritygap import (
     support_extension,
     unique_unary_support,
 )
+from aritygap.cli import main
 from aritygap.minors import _section
-from aritygap.oracle import _lead_gather, _partitions, sampled_function
+from aritygap.oracle import _lead_gather, _partitions, parse_instance_filter, sampled_function
 
 MAX_SIZE = 1024
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
@@ -352,6 +353,55 @@ def test_arity_gap_scans_the_repeat_set_once(monkeypatch):
     r = arity_gap(f)
     assert r.qa == 1 and r.support is not None
     assert on_repeat.count(True) == 1
+
+
+def test_gap_filter_scans_no_repeat_set_and_builds_no_diagonal(monkeypatch):
+    # The gap= filter reads only the gap, so it skips the repeat-set scan and
+    # the unary support that arity_gap adds, at n = 2 (where quasi-arity is
+    # read off the diagonal) as at n = 3.
+    binary, ternary = FiniteFunction(2, 2, 2, (0, 1, 1, 0)), gen_quasi_m_ary(4, 3, 2, 1, 0)
+    real_ids, real_diagonal = aritygap.gap._essential_ids, aritygap.gap.diagonal
+    calls = []
+
+    def counting_ids(*args, **kwargs):
+        if kwargs.get("on_repeat"):
+            calls.append("on_repeat")
+        return real_ids(*args, **kwargs)
+
+    def counting_diagonal(f):
+        calls.append("diagonal")
+        return real_diagonal(f)
+
+    monkeypatch.setattr(aritygap.gap, "_essential_ids", counting_ids)
+    monkeypatch.setattr(aritygap.gap, "diagonal", counting_diagonal)
+    keep = parse_instance_filter("gap=2")
+    assert [keep(binary), keep(ternary), keep(parity(2, 6))] == [True, True, True]
+    assert calls == []
+    assert arity_gap(ternary).gap == 2
+    assert calls == ["on_repeat", "diagonal"]
+
+
+def test_enumerate_builds_each_section_layout_once(capsys):
+    # Restricted to their essential slots, the (2,4,2) tables have 2, 3 or 4
+    # slots; over all of them the gap=2 filter meets the 1 + 3 + 6 pairs of
+    # those shapes, and builds each pair's layout once.
+    layouts = aritygap.gap._small_layout
+    layouts.cache_clear()
+    assert main(["enumerate", "--k", "2", "--n", "4", "--b", "2", "--filter", "gap=2"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2 * 78
+    info = layouts.cache_info()
+    assert info.misses == info.currsize == 10
+
+
+def test_section_layouts_of_large_tables_are_not_kept():
+    # Only tables of up to 1,024 entries keep their layouts: a stream of
+    # wide tables would otherwise fill the cache with large offset lists.
+    layouts = aritygap.gap._small_layout
+    layouts.cache_clear()
+    assert arity_gap(parity(2, 10)).gap == 2
+    assert layouts.cache_info().currsize == 45
+    assert arity_gap(parity(2, 11)).gap == 2
+    assert layouts.cache_info().currsize == 45
 
 
 def pair_loop_gap(f):
