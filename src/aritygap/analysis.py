@@ -148,7 +148,9 @@ class DiagonalRestriction:
     f: FiniteFunction
 
     def contains(self, t: Sequence[int]) -> bool:
-        return self.f.n == 1 or len(set(t)) < self.f.n
+        if self.f.n == 1:
+            return True
+        return len(set(t)) < self.f.n
 
     def indices(self) -> Iterator[int]:
         return _repeat_set(self.f.k, self.f.n, range(self.f.size))

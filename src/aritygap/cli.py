@@ -163,7 +163,10 @@ def _parse_slots(text: str, count: int | None = None) -> tuple[int, ...]:
 def _cmd_analyze(args, out: _Output) -> int:
     for f in _read_functions(args):
         r = arity_gap(f)
-        out.write(f"ess={r.ess} qa={r.qa} essl={r.essl} gap={r.gap} pair={r.pair[0]},{r.pair[1]}\n")
+        out.write(
+            f"ess={r.ess} qa={r.qa} essl={r.essl} gap={r.gap} "
+            f"pair={r.pair[0]},{r.pair[1]}\n"
+        )
     return 0
 
 
@@ -207,12 +210,17 @@ def _cmd_oddsupp_check(args, out: _Output) -> int:
             profile = is_restriction_determined_by_oddsupp(f)
         else:
             profile = is_determined_by_oddsupp(f)
+        parts = [f"determined={int(profile.determined)}"]
         if profile.witness is not None:
-            detail = "witness=" + ",".join(map(_render_tuple, profile.witness))
+            parts.append(
+                f"witness={_render_tuple(profile.witness[0])},{_render_tuple(profile.witness[1])}"
+            )
         else:
-            star = ",".join(f"{m}:{v}" for m, v in sorted(profile.star.items()))
-            detail = f"star_constant={int(profile.star_constant)} star={star}"
-        out.write(f"determined={int(profile.determined)} {detail}\n")
+            parts.append(f"star_constant={int(profile.star_constant)}")
+            parts.append(
+                "star=" + ",".join(f"{m}:{v}" for m, v in sorted(profile.star.items()))
+            )
+        out.write(" ".join(parts) + "\n")
     return 0
 
 

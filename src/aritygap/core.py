@@ -34,6 +34,11 @@ from typing import Callable, Iterator, Sequence
 # Guard against absurd table sizes before allocating anything.
 MAX_TABLE_ENTRIES = 10**8
 
+# A table of at most this many entries is small: the index data built for
+# its shape (oracle_gap's partition maps, arity_gap's section layouts) is
+# kept for the next table of that shape, and a larger table's is not.
+SMALL_TABLE_ENTRIES = 1024
+
 _DIGITS = b"0123456789"
 _DIGIT_VALUES = bytes.maketrans(_DIGITS, bytes(range(10)))
 
@@ -73,8 +78,13 @@ class FunctionFormatError(ValueError):
         self.message = message
         self.line = line
         self.column = column
-        col = "" if column is None else f", col {column}"
-        super().__init__(("" if line is None else f"line {line}{col}: ") + message)
+        where = ""
+        if line is not None:
+            where = f"line {line}"
+            if column is not None:
+                where += f", col {column}"
+            where += ": "
+        super().__init__(where + message)
 
 
 def _check_shape(k: int, n: int, b: int) -> int:

@@ -8,6 +8,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .core import (
+    SMALL_TABLE_ENTRIES,
     FiniteFunction,
     GapUndefinedError,
     NoSuchSupportError,
@@ -17,14 +18,17 @@ from .core import (
 from .analysis import _essential_ids, _repeat_set, restrict_to_essential
 from .minors import _copy_section, _section_layout, _substitute, diagonal
 
-# The section layouts of tables of up to 1,024 entries, kept per shape and
-# pair (at most 45 pairs a shape); a larger table's are built for its call.
+# The section layouts of small tables, kept per (k, n, i, j); at most 272
+# such keys with i < j exist.  The size is that of the table sectioned, f
+# restricted to its essential slots, so a wide table with few essential
+# slots takes this path too.
 _small_layout = lru_cache(maxsize=256)(_section_layout)
 
 
 def _section(k: int, n: int, i: int, j: int, table: Sequence[int]) -> Sequence[int]:
     # minors._section, with a small table's layout read from _small_layout.
-    layout = (_small_layout if k**n <= 1024 else _section_layout)(k, n, i, j)
+    small = k**n <= SMALL_TABLE_ENTRIES
+    layout = (_small_layout if small else _section_layout)(k, n, i, j)
     return _copy_section(k, n, table, layout)
 
 
@@ -145,4 +149,12 @@ def arity_gap(f: FiniteFunction) -> GapReport:
     ids = _essential_ids(g.k, ess, g.table, on_repeat=True)
     qa = quasi_arity(g) if ess == 2 else len(ids)
     support = _substitute(diagonal(g), ess, ids or (1,)) if qa <= 1 else None
-    return GapReport(ess, qa, essl, ess - essl, pair, slots, support)
+    return GapReport(
+        ess=ess,
+        qa=qa,
+        essl=essl,
+        gap=ess - essl,
+        pair=pair,
+        essential=slots,
+        support=support,
+    )

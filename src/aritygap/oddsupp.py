@@ -20,7 +20,11 @@ def oddsupp(t: Sequence[int]) -> frozenset[int]:
 
 def oddsupp_mask(t: Sequence[int]) -> int:
     """oddsupp as a bitmask over domain elements."""
-    return sum(1 << v for v in oddsupp(t))
+    mask = 0
+    for v, c in Counter(t).items():
+        if c % 2 == 1:
+            mask |= 1 << v
+    return mask
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,12 @@ def _fiber_profile(f: FiniteFunction, restricted: bool) -> OddsuppProfile:
         v = vals[lo]
         if vals[lo:hi].count(v) != hi - lo:
             second = next(order[i] for i in range(lo + 1, hi) if vals[i] != v)
-            witness = (index_to_tuple(f.k, f.n, order[lo]), index_to_tuple(f.k, f.n, second))
-            return OddsuppProfile(False, None, None, witness)
+            return OddsuppProfile(
+                determined=False,
+                star=None,
+                star_constant=None,
+                witness=(index_to_tuple(f.k, f.n, order[lo]), index_to_tuple(f.k, f.n, second)),
+            )
         star[mask] = v
     star = dict(sorted(star.items()))
     star_constant = len(set(star.values())) <= 1

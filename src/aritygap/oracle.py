@@ -27,6 +27,7 @@ from typing import Callable, Iterator, Sequence
 from .core import (
     FiniteFunction,
     GapUndefinedError,
+    SMALL_TABLE_ENTRIES,
     OracleInfeasibleError,
     UnsupportedCodomainError,
     UnsupportedDomainError,
@@ -139,7 +140,7 @@ def oracle_gap(f: FiniteFunction) -> int:
     if ess < 2:
         raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
     best = -1
-    gather = _lead_gather if f.size <= 1024 else _lead_gather.__wrapped__
+    gather = _lead_gather if f.size <= SMALL_TABLE_ENTRIES else _lead_gather.__wrapped__
     for blocks in range(ess - 1, 0, -1):
         if blocks <= best:
             break
@@ -342,10 +343,14 @@ def gen_ternary_pattern(
     if any(i not in (0, 1) for i in pattern):
         raise ValueError(f"pattern bits must be 0 or 1, got {pattern}")
     rng = random.Random(seed)
-    b = k if b is None else b
+    if b is None:
+        b = k
     _check_shape(k, 3, b)
     if h_table is None:
-        h_table = range(k) if b == k else [rng.randrange(b) for _ in range(k)]
+        if b == k:
+            h_table = tuple(range(k))
+        else:
+            h_table = tuple(rng.randrange(b) for _ in range(k))
     h_table = tuple(h_table)
     if len(set(h_table)) < 2:
         raise ValueError("h must be nonconstant")
@@ -852,7 +857,15 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
         parts = [sweep((0, total))]
     parts.append(_check_each(spec, extras))
     checked = sum(part_checked for part_checked, _ in parts)
-    tables = sorted({t for _, part_failures in parts for t in part_failures})
-    failures = tuple(FiniteFunction(spec.k, spec.n, spec.b, t) for t in tables)
-    seed = spec.seed if spec.mode == "sampled" else None
-    return VerificationReport(spec.theorem, checked, failures, seed, time.perf_counter() - start)
+    failure_tables = [t for _, part_failures in parts for t in part_failures]
+
+    failures = tuple(
+        FiniteFunction(spec.k, spec.n, spec.b, t) for t in sorted(set(failure_tables))
+    )
+    return VerificationReport(
+        theorem=spec.theorem,
+        checked=checked,
+        failures=failures,
+        seed=spec.seed if spec.mode == "sampled" else None,
+        elapsed=time.perf_counter() - start,
+    )

@@ -225,3 +225,22 @@ def test_section_is_the_definition_sampled(data):
     table = data.draw(st.lists(st.integers(0, b - 1), min_size=k**n, max_size=k**n))
     i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
     check_section(FiniteFunction(k, n, b, tuple(table)), i, j)
+
+
+@pytest.mark.parametrize("k,n", SECTION_SHAPES + [(2, 11)])
+def test_cached_section_is_the_definition(k, n):
+    # arity_gap copies its sections through gap._section, which reads a
+    # small table's layout from a cache: the first call builds it, the
+    # second reads it, and the (2,11) table is over the limit and keeps
+    # none.  A bytes table gives the same entries.
+    from aritygap import gap
+
+    rng = random.Random(k * 10 + n)
+    f = FiniteFunction(k, n, 3, tuple(rng.randrange(3) for _ in range(k**n)))
+    gap._small_layout.cache_clear()
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        want = definitional_section(f, i, j)
+        for table in (f.table, f.table, bytes(f.table)):
+            assert list(gap._section(k, n, i, j, table)) == want, (i, j)
+    pairs = n * (n - 1) if k**n <= 1024 else 0
+    assert gap._small_layout.cache_info().currsize == pairs
