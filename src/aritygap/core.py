@@ -149,7 +149,7 @@ class FiniteFunction:
       two values of a valid table over k = 2 as 0 and 1.
 
     ``_packed`` is the same table as ``bytes`` (entry j is byte j), which the
-    essential-slot scan and ``minors._section`` compare in C.  Only
+    essential-slot scan and ``gap._section`` compare in C.  Only
     ``parse_stream``'s one-pass read of single-ASCII-digit tables sets it,
     where those bytes already exist; everywhere else it is None.  It is left
     out of ``==``, ``hash`` and ``repr``, so a parsed function equals its

@@ -16,7 +16,26 @@ from .core import (
     all_tuples,
 )
 from .analysis import _essential_ids, _repeat_set, restrict_to_essential
-from .minors import _copy_section, _section_layout, _substitute, diagonal
+from .minors import _substitute, diagonal
+
+
+def _section_layout(k: int, n: int, i: int, j: int) -> tuple:
+    # How _section copies f restricted to x_i = x_j: the (n-1)-ary table
+    # without slot i, in slices.  The free digits above, between and below
+    # slots i and j form three groups of (count, step in f's table, step in
+    # the section); each slice runs along the longest group, and the other
+    # two give the (table, section) offsets of its starts.  The common digit
+    # a weighs k^(n-i) + k^(n-j) in f's table and k^(n-1-j) in the section,
+    # or k^(n-j) when i < j moves slot j one place up.
+    si, sj = k ** (n - i), k ** (n - j)
+    hi, lo = (si, sj) if si > sj else (sj, si)
+    mid = k * lo if i < j else lo
+    (c1, s1, t1), (c2, s2, t2), (run, step, ostep) = sorted(
+        ((k**n // (k * hi), k * hi, hi), (hi // (k * lo), k * lo, mid), (lo, 1, 1))
+    )
+    offsets = [(x * s1 + y * s2, x * t1 + y * t2) for x in range(c1) for y in range(c2)]
+    return si + sj, sj if i < j else sj // k, run * step, step, run * ostep, ostep, offsets
+
 
 # The section layouts of small tables, kept per (k, n, i, j); at most 272
 # such keys with i < j exist.  The size is that of the table sectioned, f
@@ -26,10 +45,17 @@ _small_layout = lru_cache(maxsize=256)(_section_layout)
 
 
 def _section(k: int, n: int, i: int, j: int, table: Sequence[int]) -> Sequence[int]:
-    # minors._section, with a small table's layout read from _small_layout.
-    small = k**n <= SMALL_TABLE_ENTRIES
-    layout = (_small_layout if small else _section_layout)(k, n, i, j)
-    return _copy_section(k, n, table, layout)
+    # f restricted to x_i = x_j, as _section_layout describes it, with a
+    # small table's layout read from _small_layout.  A packed (bytes) table
+    # gives a bytearray, any other a list.
+    layout = _small_layout if k**n <= SMALL_TABLE_ENTRIES else _section_layout
+    wt, wa, span, step, ospan, ostep, offsets = layout(k, n, i, j)
+    out = bytearray(k ** (n - 1)) if isinstance(table, bytes) else [0] * k ** (n - 1)
+    for a in range(k):
+        x, y = a * wt, a * wa
+        for o, p in offsets:
+            out[y + p : y + p + ospan : ostep] = table[x + o : x + o + span : step]
+    return out
 
 
 def quasi_arity(f: FiniteFunction) -> int:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
 
 from .core import FiniteFunction, _check_shape
 
@@ -81,41 +80,6 @@ def simple_minor(g: FiniteFunction, sigma: MinorMap) -> FiniteFunction:
     if sigma.m != g.n:
         raise ValueError(f"sigma has source arity {sigma.m}, function has arity {g.n}")
     return _substitute(g, sigma.n, sigma.sigma)
-
-
-def _section_layout(k: int, n: int, i: int, j: int) -> tuple:
-    # How _section copies f restricted to x_i = x_j: the (n-1)-ary table
-    # without slot i, in slices.  The free digits above, between and below
-    # slots i and j form three groups of (count, step in f's table, step in
-    # the section); each slice runs along the longest group, and the other
-    # two give the (table, section) offsets of its starts.  The common digit
-    # a weighs k^(n-i) + k^(n-j) in f's table and k^(n-1-j) in the section,
-    # or k^(n-j) when i < j moves slot j one place up.
-    si, sj = k ** (n - i), k ** (n - j)
-    hi, lo = (si, sj) if si > sj else (sj, si)
-    mid = k * lo if i < j else lo
-    (c1, s1, t1), (c2, s2, t2), (run, step, ostep) = sorted(
-        ((k**n // (k * hi), k * hi, hi), (hi // (k * lo), k * lo, mid), (lo, 1, 1))
-    )
-    offsets = [(x * s1 + y * s2, x * t1 + y * t2) for x in range(c1) for y in range(c2)]
-    return si + sj, sj if i < j else sj // k, run * step, step, run * ostep, ostep, offsets
-
-
-def _copy_section(k: int, n: int, table: Sequence[int], layout: tuple) -> Sequence[int]:
-    # The section that layout describes.  A packed (bytes) table gives a
-    # bytearray, any other a list.
-    wt, wa, span, step, ospan, ostep, offsets = layout
-    out = bytearray(k ** (n - 1)) if isinstance(table, bytes) else [0] * k ** (n - 1)
-    for a in range(k):
-        x, y = a * wt, a * wa
-        for o, p in offsets:
-            out[y + p : y + p + ospan : ostep] = table[x + o : x + o + span : step]
-    return out
-
-
-def _section(k: int, n: int, i: int, j: int, table: Sequence[int]) -> Sequence[int]:
-    # f restricted to x_i = x_j, as _section_layout describes it.
-    return _copy_section(k, n, table, _section_layout(k, n, i, j))
 
 
 def identification_minor(f: FiniteFunction, i: int, j: int) -> FiniteFunction:

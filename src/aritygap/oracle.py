@@ -5,10 +5,11 @@ essential arity over all strict substitution minors; least number of slots
 that f's values on the repeat set can be a function of) so the fast
 implementations can be checked against them.  They build on `core` alone:
 their essentiality check (`_is_essential`, counted by `_essential_count`) and
-their partition-minor maps (`_lead_gather`) share no code with `analysis` or
-`minors`, so a fault there shows up as failures of the T5.1 and L3.4 sweeps
-instead of being repeated by the oracles.  ``verify`` runs a named property
-over an exhaustive or sampled function space and reports failures.
+their minor maps (`_lead_gather`, which the T3.5, SWIER and T6.1 sweeps read
+for their identification minors too) share no code with `analysis` or
+`minors`, so a fault there shows up as failures of the sweeps instead of
+being repeated by the oracles.  ``verify`` runs a named property over an
+exhaustive or sampled function space and reports failures.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .core import (
 from .analysis import _repeat_set, is_restriction_totally_symmetric
 from .classify import classify_pseudo_boolean, ternary_pattern
 from .gap import _pair_scan, arity_gap, is_semiprojection, quasi_arity
-from .minors import _substitute, identification_minor
+from .minors import _substitute
 from .oddsupp import is_restriction_determined_by_oddsupp, oddsupp_mask, reachable_oddsupp_masks
 
 DEFAULT_BUDGET = 10**7
@@ -110,13 +111,20 @@ def _partitions(n: int, slots: tuple[int, ...], blocks: int) -> tuple[tuple[int,
 def _lead_gather(k: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
     # Entry t of the minor reads f at (t_sigma(1), ..., t_sigma(n)), of index
     # sum_l t_sigma(l) * k^(n-l); expanding t's digits from slot 1 on keeps
-    # table order.  oracle_gap caches only maps of up to 1,024 entries, so
-    # the cache holds at most 262,144; the T5.1 sweeps fill a few dozen maps.
+    # table order.  _minor_table caches only maps of up to 1,024 entries, so
+    # the cache holds at most 262,144.  The T5.1 sweeps fill a few dozen
+    # maps; the T3.5, SWIER and T6.1 sweeps one per ordered pair of slots.
     index = [0]
     for s in range(1, n + 1):
         w = sum(k ** (n - l) for l, lead in enumerate(sigma, start=1) if lead == s)
         index = [x + a * w for x in index for a in range(k)]
     return itemgetter(*index)
+
+
+def _minor_table(f: FiniteFunction, sigma: tuple[int, ...]) -> tuple[int, ...]:
+    # The table of f's minor under sigma; only small tables' maps are kept.
+    gather = _lead_gather if f.size <= SMALL_TABLE_ENTRIES else _lead_gather.__wrapped__
+    return gather(f.k, f.n, sigma)(f.table)
 
 
 def oracle_gap(f: FiniteFunction) -> int:
@@ -140,12 +148,11 @@ def oracle_gap(f: FiniteFunction) -> int:
     if ess < 2:
         raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
     best = -1
-    gather = _lead_gather if f.size <= SMALL_TABLE_ENTRIES else _lead_gather.__wrapped__
     for blocks in range(ess - 1, 0, -1):
         if blocks <= best:
             break
         for sigma in _partitions(f.n, slots, blocks):
-            e = _essential_count(f.k, f.n, gather(f.k, f.n, sigma)(f.table))
+            e = _essential_count(f.k, f.n, _minor_table(f, sigma))
             if e > best:
                 best = e
                 if best == ess - 1:
@@ -462,7 +469,7 @@ def _id_minors(f: FiniteFunction) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     # (i, j, table of the minor identifying slot i with slot j), for every
     # ordered pair of distinct slots in lexicographic order.
     for i, j in itertools.permutations(range(1, f.n + 1), 2):
-        yield i, j, identification_minor(f, i, j).table
+        yield i, j, _minor_table(f, tuple(j if s == i else s for s in range(1, f.n + 1)))
 
 
 def _check_minors_constant_iff_quasi_nullary(f: FiniteFunction) -> bool | None:

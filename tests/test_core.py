@@ -408,7 +408,7 @@ def test_oracle_decides_essentiality_on_its_own():
         ):
             allowed |= {target.id for target in node.targets}
     todo = ["_is_essential", "_essential_count", "_partitions", "_lead_gather"]
-    todo += ["oracle_gap", "oracle_quasi_arity"]
+    todo += ["oracle_gap", "oracle_quasi_arity", "_id_minors"]
     own = set()
     while todo:
         name = todo.pop()

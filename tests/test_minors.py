@@ -20,7 +20,8 @@ from aritygap import (
     tuple_to_index,
 )
 from aritygap.analysis import _essential_ids
-from aritygap.minors import _section
+from aritygap.core import SMALL_TABLE_ENTRIES
+from aritygap.gap import _section, _small_layout
 
 XOR2 = FiniteFunction(2, 2, 2, (0, 1, 1, 0))
 AND2 = FiniteFunction(2, 2, 2, (0, 0, 0, 1))
@@ -192,17 +193,25 @@ def definitional_section(f, i, j):
 
 def check_section(f, i, j):
     section = _section(f.k, f.n, i, j, f.table)
-    assert section == definitional_section(f, i, j), (i, j)
+    want = definitional_section(f, i, j)
+    assert section == want, (i, j)
+    # A packed (bytes) table gives the same entries.
+    if f.b <= 256:
+        assert list(_section(f.k, f.n, i, j, bytes(f.table))) == want, (i, j)
     # The minor does not depend on slot i, and its slot j is the merged slot.
     kept = len(_essential_ids(f.k, f.n - 1, section))
     assert kept == essential_arity(identification_minor(f, i, j)), (i, j)
 
 
-@pytest.mark.parametrize("k,n", SECTION_SHAPES)
+@pytest.mark.parametrize("k,n", SECTION_SHAPES + [(2, 11)])
 def test_section_is_the_definition(k, n):
     # Every ordered pair, so both orders, adjacent slots and slots 1 and n.
     # The first table names its own indices, so the section is the index
-    # map itself; the others keep different numbers of slots per pair.
+    # map itself; the others keep different numbers of slots per pair.  The
+    # layout cache starts empty, so the first table's sections build the
+    # layouts and the others read them; the (2,11) tables are over the
+    # limit and keep none.
+    _small_layout.cache_clear()
     rng = random.Random(k * 10 + n)
     fs = [
         FiniteFunction(k, n, k**n, tuple(range(k**n))),
@@ -214,6 +223,8 @@ def test_section_is_the_definition(k, n):
     for f in fs:
         for i, j in itertools.permutations(range(1, n + 1), 2):
             check_section(f, i, j)
+    pairs = n * (n - 1) if k**n <= SMALL_TABLE_ENTRIES else 0
+    assert _small_layout.cache_info().currsize == pairs
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -225,22 +236,3 @@ def test_section_is_the_definition_sampled(data):
     table = data.draw(st.lists(st.integers(0, b - 1), min_size=k**n, max_size=k**n))
     i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
     check_section(FiniteFunction(k, n, b, tuple(table)), i, j)
-
-
-@pytest.mark.parametrize("k,n", SECTION_SHAPES + [(2, 11)])
-def test_cached_section_is_the_definition(k, n):
-    # arity_gap copies its sections through gap._section, which reads a
-    # small table's layout from a cache: the first call builds it, the
-    # second reads it, and the (2,11) table is over the limit and keeps
-    # none.  A bytes table gives the same entries.
-    from aritygap import gap
-
-    rng = random.Random(k * 10 + n)
-    f = FiniteFunction(k, n, 3, tuple(rng.randrange(3) for _ in range(k**n)))
-    gap._small_layout.cache_clear()
-    for i, j in itertools.permutations(range(1, n + 1), 2):
-        want = definitional_section(f, i, j)
-        for table in (f.table, f.table, bytes(f.table)):
-            assert list(gap._section(k, n, i, j, table)) == want, (i, j)
-    pairs = n * (n - 1) if k**n <= 1024 else 0
-    assert gap._small_layout.cache_info().currsize == pairs

@@ -790,8 +790,33 @@ def test_symmetry_of_gap_two_checks_every_gap_two_input(monkeypatch, k, n, b):
         assert oracle._check_each(spec, inputs) == every_input_fails
     # With the symmetry test passing, a minor that keeps every slot must
     # fail the (n-2)-ary minor check.
-    monkeypatch.setattr(oracle, "identification_minor", lambda f, i, j: f)
+    pairs = lambda f: itertools.permutations(range(1, f.n + 1), 2)
+    monkeypatch.setattr(oracle, "_id_minors", lambda f: ((i, j, f.table) for i, j in pairs(f)))
     assert oracle._check_each(spec, inputs) == every_input_fails
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 3), (2, 11), (3, 7)])
+def test_id_minors_are_the_identification_minors(k, n):
+    # The T3.5, SWIER and T6.1 sweeps read their minors from the oracle's
+    # own maps, kept below the table limit and built per call above it.
+    # Each entry of the table names its own index, so every minor is its
+    # map itself.
+    f = FiniteFunction(k, n, k**n, tuple(range(k**n)))
+    pairs = itertools.permutations(range(1, n + 1), 2)
+    want = [(i, j, identification_minor(f, i, j).table) for i, j in pairs]
+    assert list(oracle._id_minors(f)) == want
+
+
+@pytest.mark.parametrize(
+    "theorem, checked", [("T3.5i", 65536), ("T3.5ii", 65536), ("SWIER", 65536), ("T6.1", 2)]
+)
+def test_identification_sweeps_keep_one_map_per_ordered_pair(theorem, checked):
+    # The functions an exhaustive (2,4,2) sweep checks share the maps of the
+    # 12 ordered pairs of slots.
+    oracle._lead_gather.cache_clear()
+    report = verify(SweepSpec(theorem, 2, 4, 2, "exhaustive"))
+    assert (report.checked, report.failures) == (checked, ())
+    assert oracle._lead_gather.cache_info().currsize == 12
 
 
 def test_failures_replay(monkeypatch):

@@ -32,8 +32,7 @@ from aritygap import (
 )
 from aritygap import analysis
 from aritygap.analysis import _essential_ids
-from aritygap.gap import _pair_scan
-from aritygap.minors import _section
+from aritygap.gap import _pair_scan, _section
 
 SMALL = ((2, 5), (3, 3), (3, 4), (4, 4))
 LARGE = ((2, 12), (3, 8), (4, 6))

@@ -43,7 +43,7 @@ from aritygap import (
     unique_unary_support,
 )
 from aritygap.cli import main
-from aritygap.minors import _section
+from aritygap.gap import _section
 from aritygap.oracle import _lead_gather, _partitions, parse_instance_filter, sampled_function
 
 MAX_SIZE = 1024
