@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from aritygap import (
     FiniteFunction,
+    arity_gap,
     MinorMap,
     VariablePartition,
     all_tuples,
@@ -236,3 +237,31 @@ def test_section_is_the_definition_sampled(data):
     table = data.draw(st.lists(st.integers(0, b - 1), min_size=k**n, max_size=k**n))
     i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
     check_section(FiniteFunction(k, n, b, tuple(table)), i, j)
+
+
+@pytest.mark.parametrize("k,n", SECTION_SHAPES + [(2, 11)])
+def test_cached_section_is_the_definition(k, n):
+    # arity_gap reads its sections through the layout cache.  With the cache
+    # cold and then warm it reports the essential count and least pair that
+    # the identification minors give, and the cold scan keeps one layout per
+    # pair it read, none for a table over the limit.
+    rng = random.Random(k * 10 + n)
+    fs = [
+        FiniteFunction(k, n, 3, tuple(rng.randrange(3) for _ in range(k**n))),
+        gen_essentially_m_ary(k, n, 2, max(2, n - 1), rng.getrandbits(32)),
+    ]
+    if n <= k:
+        fs.append(gen_quasi_m_ary(k, n, 2, 1, rng.getrandbits(32)))
+    for f in fs:
+        _small_layout.cache_clear()
+        report = arity_gap(f)
+        pairs = list(itertools.combinations(report.essential, 2))
+        kept = [essential_arity(identification_minor(f, i, j)) for i, j in pairs]
+        essl = max(kept)
+        assert (report.essl, report.pair) == (essl, pairs[kept.index(essl)])
+        ess = len(report.essential)
+        scanned = kept.index(essl) + 1 if essl == ess - 1 else len(pairs)
+        cached = scanned if k**ess <= SMALL_TABLE_ENTRIES else 0
+        assert _small_layout.cache_info().currsize == cached
+        assert arity_gap(f) == report
+        assert _small_layout.cache_info().currsize == cached
