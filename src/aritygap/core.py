@@ -35,8 +35,8 @@ from typing import Callable, Iterator, Sequence
 MAX_TABLE_ENTRIES = 10**8
 
 # A table of at most this many entries is small: the index data built for
-# its shape (oracle_gap's partition maps, arity_gap's section layouts) is
-# kept for the next table of that shape, and a larger table's is not.
+# its shape (the oracle's identification maps, arity_gap's section layouts)
+# is kept for the next table of that shape, and a larger table's is not.
 SMALL_TABLE_ENTRIES = 1024
 
 _DIGITS = b"0123456789"

@@ -20,11 +20,7 @@ def oddsupp(t: Sequence[int]) -> frozenset[int]:
 
 def oddsupp_mask(t: Sequence[int]) -> int:
     """oddsupp as a bitmask over domain elements."""
-    mask = 0
-    for v, c in Counter(t).items():
-        if c % 2 == 1:
-            mask |= 1 << v
-    return mask
+    return sum(1 << v for v in oddsupp(t))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Definitional oracles, seeded witness generators, and property-sweep verification.
 
-The oracles recompute gap and quasi-arity from their definitions (maximum
-essential arity over all strict substitution minors; least number of slots
-that f's values on the repeat set can be a function of) so the fast
+The oracles recompute gap and quasi-arity from their definitions (least drop
+in essential arity when two essential slots are identified; least number of
+slots that f's values on the repeat set can be a function of) so the fast
 implementations can be checked against them.  They build on `core` alone:
 their essentiality check (`_is_essential`, counted by `_essential_count`) and
-their minor maps (`_lead_gather`, which the T3.5, SWIER and T6.1 sweeps read
-for their identification minors too) share no code with `analysis` or
-`minors`, so a fault there shows up as failures of the sweeps instead of
-being repeated by the oracles.  ``verify`` runs a named property over an
-exhaustive or sampled function space and reports failures.
+their identification-minor maps (`_id_gather`, one per ordered slot pair,
+which the T3.5, SWIER and T6.1 sweeps read too) share no code with
+`analysis` or `minors`, so a fault there shows up as failures of the sweeps
+instead of being repeated by the oracles.  ``verify`` runs a named property
+over an exhaustive or sampled function space and reports failures.
 """
 
 from __future__ import annotations
@@ -93,71 +93,47 @@ def _essential_count(k: int, n: int, table: Sequence[int]) -> int:
     return sum([_is_essential(k, n, table, slot) for slot in range(1, n + 1)])
 
 
-@lru_cache(maxsize=64)
-def _partitions(n: int, slots: tuple[int, ...], blocks: int) -> tuple[tuple[int, ...], ...]:
-    # The partitions of `slots` into exactly `blocks` blocks, as lead sigmas
-    # over {1..n}: a slot of `slots` is fed from the least slot of its block,
-    # every other slot from itself.  The last slot either opens a block of its
-    # own or joins one of the blocks of the slots before it.
-    if not 0 < blocks < len(slots):
-        return (tuple(range(1, n + 1)),) if blocks == len(slots) else ()
-    rest, last = slots[:-1], slots[-1]
-    opened = _partitions(n, rest, blocks - 1)
-    joins = ((p, t) for p in _partitions(n, rest, blocks) for t in rest if p[t - 1] == t)
-    return (*opened, *(p[: last - 1] + (t,) + p[last:] for p, t in joins))
-
-
 @lru_cache(maxsize=256)
-def _lead_gather(k: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
-    # Entry t of the minor reads f at (t_sigma(1), ..., t_sigma(n)), of index
-    # sum_l t_sigma(l) * k^(n-l); expanding t's digits from slot 1 on keeps
-    # table order.  _minor_table caches only maps of up to 1,024 entries, so
-    # the cache holds at most 262,144.  The T5.1 sweeps fill a few dozen
-    # maps; the T3.5, SWIER and T6.1 sweeps one per ordered pair of slots.
+def _id_gather(k: int, n: int, i: int, j: int) -> itemgetter:
+    # Entry t of the minor reads f at t with t_i replaced by t_j, of index
+    # sum_{l != i} t_l * k^(n-l) + t_j * k^(n-i); expanding t's digits from
+    # slot 1 on keeps table order.  _id_table caches only maps of up to 1,024
+    # entries, so the cache holds at most 262,144.  oracle_gap fills one map
+    # per pair of essential slots, the T3.5, SWIER and T6.1 sweeps one per
+    # ordered pair of slots.
     index = [0]
     for s in range(1, n + 1):
-        w = sum(k ** (n - l) for l, lead in enumerate(sigma, start=1) if lead == s)
+        w = 0 if s == i else k ** (n - s) + (k ** (n - i) if s == j else 0)
         index = [x + a * w for x in index for a in range(k)]
     return itemgetter(*index)
 
 
-def _minor_table(f: FiniteFunction, sigma: tuple[int, ...]) -> tuple[int, ...]:
-    # The table of f's minor under sigma; only small tables' maps are kept.
-    gather = _lead_gather if f.size <= SMALL_TABLE_ENTRIES else _lead_gather.__wrapped__
-    return gather(f.k, f.n, sigma)(f.table)
+def _id_table(f: FiniteFunction, i: int, j: int) -> tuple[int, ...]:
+    # The table of f's minor that feeds slot i from slot j; only small
+    # tables' maps are kept.
+    gather = _id_gather if f.size <= SMALL_TABLE_ENTRIES else _id_gather.__wrapped__
+    return gather(f.k, f.n, i, j)(f.table)
 
 
 def oracle_gap(f: FiniteFunction) -> int:
-    """Gap recomputed as ess f minus the maximum essential arity over all
-    strict substitution minors.
+    """Gap recomputed from its definition: ess f minus the maximum essential
+    arity of the minors that identify two essential slots.
 
-    f does not read what feeds an inessential slot, so a substitution minor
-    is fixed, up to slot permutation and inessential slots (neither of
-    which changes essential arity), by how it groups the essential slots:
-    it is the minor that identifies the blocks of a partition of the
-    essential slots and feeds every other slot from itself.  Fewer than
-    ess blocks give a strict minor, ess blocks give f again.  The walk
-    holds one minor at a time, level by level with ess - 1 blocks first;
-    it returns once a minor keeps ess - 1 slots (no strict minor keeps
-    more), and stops before a level with no more blocks than the best
-    minor has essential slots (a minor over b blocks depends on at most b
-    slots).
+    The minor that feeds slot j from slot i does not read slot j, so it
+    keeps at most ess - 1 slots, and the scan returns once one does.  A
+    substitution minor that feeds two essential slots from one slot is a
+    minor of one of these, and a minor of g keeps no more slots than g, so
+    none keeps more.
     """
-    slots = tuple(s for s in range(1, f.n + 1) if _is_essential(f.k, f.n, f.table, s))
+    slots = [s for s in range(1, f.n + 1) if _is_essential(f.k, f.n, f.table, s)]
     ess = len(slots)
     if ess < 2:
         raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
-    best = -1
-    for blocks in range(ess - 1, 0, -1):
-        if blocks <= best:
+    best = 0
+    for i, j in itertools.combinations(slots, 2):
+        best = max(best, _essential_count(f.k, f.n, _id_table(f, j, i)))
+        if best == ess - 1:
             break
-        for sigma in _partitions(f.n, slots, blocks):
-            e = _essential_count(f.k, f.n, _minor_table(f, sigma))
-            if e > best:
-                best = e
-                if best == ess - 1:
-                    return ess - best
-    assert best >= 0
     return ess - best
 
 
@@ -466,10 +442,10 @@ def render_report(report: VerificationReport) -> str:
 
 
 def _id_minors(f: FiniteFunction) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    # (i, j, table of the minor identifying slot i with slot j), for every
+    # (i, j, table of the minor that feeds slot i from slot j), for every
     # ordered pair of distinct slots in lexicographic order.
     for i, j in itertools.permutations(range(1, f.n + 1), 2):
-        yield i, j, _minor_table(f, tuple(j if s == i else s for s in range(1, f.n + 1)))
+        yield i, j, _id_table(f, i, j)
 
 
 def _check_minors_constant_iff_quasi_nullary(f: FiniteFunction) -> bool | None:

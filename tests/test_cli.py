@@ -249,7 +249,7 @@ def test_readme_library_outputs():
     assert documented == {
         "report = arity_gap(xor2)": " ".join(f"{a}={getattr(report, a)}" for a in fields),
         "classify(xor2).tag": repr(scope["classify"](xor2).tag),
-        "oracle_gap(xor2)": f"{scope['oracle_gap'](xor2)}, recomputed from all substitution minors",
+        "oracle_gap(xor2)": f"{scope['oracle_gap'](xor2)}, recomputed from every identification minor",
     }
 
 

@@ -304,7 +304,7 @@ def test_every_cache_is_bounded():
     # A cache keyed by shape or pair that never evicts grows with every k
     # and n a process meets.
     caches = dict(_caches())
-    assert {"oracle._lead_gather", "analysis._plan", "oracle._partitions"} <= set(caches)
+    assert {"oracle._id_gather", "analysis._plan"} <= set(caches)
     assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
     # Caches out of reach of the walk above (nested or decorated later).
     unbounded = re.compile(r"maxsize=None|lru_cache\(\s*None|functools\.cache\b|@cache\b|import[^\n]*\bcache\b")
@@ -407,7 +407,7 @@ def test_oracle_decides_essentiality_on_its_own():
             isinstance(x, ast.Name) for x in ast.walk(node.value)
         ):
             allowed |= {target.id for target in node.targets}
-    todo = ["_is_essential", "_essential_count", "_partitions", "_lead_gather"]
+    todo = ["_is_essential", "_essential_count", "_id_gather", "_id_table"]
     todo += ["oracle_gap", "oracle_quasi_arity", "_id_minors"]
     own = set()
     while todo:
@@ -444,14 +444,14 @@ def test_two_valued_classifiers_share_one_core():
 
 
 def test_large_index_maps_are_not_kept():
-    # oracle_gap keeps the partition maps of tables of up to 1,024 entries
-    # only; keeping one map per partition of every wide table would let a
+    # oracle_gap keeps the identification maps of tables of up to 1,024
+    # entries only; keeping one map per pair of every wide table would let a
     # stream of them fill memory.  minors builds each map for its call and
     # keeps none.
     assert [name for name, _ in _caches() if name.startswith("minors.")] == []
-    cached = oracle._lead_gather
-    # Parity of every slot: identifying two slots drops both, so the walk
-    # gathers the C(n, 2) minors with one pair identified.
+    cached = oracle._id_gather
+    # Parity of every slot: identifying two slots drops both, so the scan
+    # gathers the minors of all C(n, 2) pairs.
     small, large = (
         FiniteFunction(2, n, 2, tuple(bin(x).count("1") % 2 for x in range(2**n)))
         for n in (5, 12)

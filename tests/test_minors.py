@@ -23,6 +23,7 @@ from aritygap import (
 from aritygap.analysis import _essential_ids
 from aritygap.core import SMALL_TABLE_ENTRIES
 from aritygap.gap import _section, _small_layout
+from aritygap.oracle import _id_gather
 
 XOR2 = FiniteFunction(2, 2, 2, (0, 1, 1, 0))
 AND2 = FiniteFunction(2, 2, 2, (0, 0, 0, 1))
@@ -226,6 +227,18 @@ def test_section_is_the_definition(k, n):
             check_section(f, i, j)
     pairs = n * (n - 1) if k**n <= SMALL_TABLE_ENTRIES else 0
     assert _small_layout.cache_info().currsize == pairs
+
+
+@pytest.mark.parametrize("k,n", SECTION_SHAPES + [(2, 11)])
+def test_oracle_id_gather_is_the_identification_minor(k, n):
+    # The oracle's own map of each ordered pair, cached and built afresh,
+    # against minors' identification minor.  The table names its own
+    # indices, so the gathered table is the map itself.
+    f = FiniteFunction(k, n, k**n, tuple(range(k**n)))
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        want = identification_minor(f, i, j).table
+        assert _id_gather(k, n, i, j)(f.table) == want, (i, j)
+        assert _id_gather.__wrapped__(k, n, i, j)(f.table) == want, (i, j)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

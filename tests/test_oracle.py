@@ -68,7 +68,7 @@ def random_function(rng, k, n, b):
 
 
 # Reference sweep over literally every substitution map into every target arity,
-# to certify the partition-based shortcut inside oracle_gap.
+# to certify that oracle_gap may look at identification minors only.
 def full_sigma_essl(f):
     ess = len(essential_slots(f))
     best = -1
@@ -105,10 +105,70 @@ def test_oracle_gap_matches_full_sigma_sweep(seed):
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("seed", range(3))
 def test_oracle_gap_matches_full_sigma_sweep_with_inessential_slots(k, n, b, m, seed):
-    # The oracle partitions only the m essential slots; the reference still
-    # tries every map of all n slots.
+    # The oracle identifies only pairs of the m essential slots; the reference
+    # still tries every map of all n slots.
     f = gen_essentially_m_ary(k, n, b, m, seed)
     assert oracle_gap(f) == m - full_sigma_essl(f)
+
+
+def set_partitions(n):
+    """Every partition of range(n), given for each element as the least
+    member of its block; each element joins an earlier block or opens one."""
+    labels = [()]
+    for _ in range(n):
+        labels = [a + (c,) for a in labels for c in range(max(a, default=-1) + 2)]
+    return [tuple(a.index(c) for c in a) for a in labels]
+
+
+def eval_essentials(f):
+    # Slots with two inputs that differ only there and get different values,
+    # found through FiniteFunction.eval alone.  If two such inputs exist, one
+    # of them disagrees with the input that has 0 at the slot.
+    value = {t: f.eval(t) for t in itertools.product(range(f.k), repeat=f.n)}
+    return {
+        slot
+        for slot in range(f.n)
+        if any(
+            value[t] != value[t[:slot] + (v,) + t[slot + 1 :]]
+            for t in value
+            if t[slot] == 0
+            for v in range(1, f.k)
+        )
+    }
+
+
+def strict_partition_gap(f):
+    """ess f minus the most essential slots of a minor that feeds two
+    essential slots of f from one slot, over every partition of the slots."""
+    points = list(itertools.product(range(f.k), repeat=f.n))
+    essential = eval_essentials(f)
+    kept = []
+    for lead in set_partitions(f.n):
+        if len({lead[s] for s in essential}) < len(essential):
+            table = tuple(f.eval(tuple(t[l] for l in lead)) for t in points)
+            kept.append(len(eval_essentials(FiniteFunction(f.k, f.n, f.b, table))))
+    return len(essential) - max(kept)
+
+
+def strict_partition_gap_cases():
+    for k, n, b in [(2, 3, 2), (3, 2, 3), (2, 3, 3)]:
+        yield from all_functions(k, n, b)
+    for k, n, b, samples in [(2, 4, 2, 200), (3, 4, 2, 100)]:
+        yield from (sampled_function(k, n, b, 5, i) for i in range(samples))
+    yield from (gen_salomaa(k) for k in range(3, 6))
+    for k, n in [(3, 3), (4, 4)]:
+        yield from (gen_quasi_m_ary(k, n, 2, m, seed) for m in range(n + 1) for seed in range(2))
+
+
+def test_oracle_gap_is_the_least_drop_over_strict_partition_minors():
+    # oracle_gap scans only the minors that identify two essential slots;
+    # every other minor that merges essential slots must keep no more.
+    seen = 0
+    for f in strict_partition_gap_cases():
+        if len(eval_essentials(f)) >= 2:
+            assert oracle_gap(f) == strict_partition_gap(f), f.table
+            seen += 1
+    assert seen > 20000
 
 
 @pytest.mark.parametrize("k,n,b", [(2, 2, 2), (2, 3, 2), (3, 2, 2)])
@@ -173,20 +233,6 @@ def completion_min_essl(f):
     return best
 
 
-def eval_essential_count(f):
-    # Slots with two inputs that differ only there and get different values,
-    # found through FiniteFunction.eval alone.
-    points = list(itertools.product(range(f.k), repeat=f.n))
-    return sum(
-        any(
-            f.eval(t) != f.eval(t[:slot] + (v,) + t[slot + 1 :])
-            for t in points
-            for v in range(f.k)
-        )
-        for slot in range(f.n)
-    )
-
-
 @st.composite
 def small_functions(draw):
     """A table of at most 243 entries that depends on a drawn set of slots,
@@ -211,7 +257,7 @@ def small_functions(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(f=small_functions())
 def test_oracle_essential_count_is_the_definition(f):
-    assert _essential_count(f.k, f.n, f.table) == eval_essential_count(f)
+    assert _essential_count(f.k, f.n, f.table) == len(eval_essentials(f))
 
 
 @pytest.mark.parametrize("k,n,b", [(3, 2, 2), (2, 3, 2)])
@@ -247,9 +293,9 @@ def test_oracles_catch_a_kernel_that_drops_the_last_slot(monkeypatch):
 
 def test_oracle_gap_builds_its_own_partition_minors(monkeypatch):
     # minors' index map sends the last entry of every minor to the first.
-    # oracle_gap gathers its partition minors through maps of its own, so
-    # none of its answers moves, while the classifier it checks goes through
-    # minors and the T5.1 sweep reports failures.
+    # oracle_gap gathers its identification minors through maps of its own,
+    # so none of its answers moves, while the classifier it checks goes
+    # through minors and the T5.1 sweep reports failures.
     def answers():
         out = []
         for f in functions_in_order(2, 3, 2, 0, 256):
@@ -279,8 +325,7 @@ def _limited_address_space():
 
 def test_oracle_gap_on_a_wide_random_table_fits_in_memory():
     # A random (2,13) table has a minor that keeps ess - 1 slots among its
-    # first partitions; the walk must reach it without listing all
-    # Bell(13) - 1 of them, which would not fit in the child's 1 GiB.
+    # first pairs of slots; the scan returns there, within the child's 1 GiB.
     script = (
         "import random\n"
         "from aritygap import FiniteFunction, oracle_gap\n"
@@ -300,8 +345,8 @@ def test_oracle_gap_on_a_wide_random_table_fits_in_memory():
 
 def test_verify_t51_at_arity_13_finishes_in_memory():
     # The (2,13,2) witness battery holds an essentially binary table whose
-    # strict minors are all constant; the oracle walks the partitions of its
-    # two essential slots, not all Bell(13) - 1 partitions of the slots.
+    # strict minors are all constant; the oracle scans the one pair of its
+    # two essential slots, not every pair of the 13 slots.
     argv = ["verify", "--theorem", "T5.1", "--k", "2", "--n", "13", "--b", "2", "--samples", "1"]
     done = subprocess.run(
         [sys.executable, "-m", "aritygap", *argv],
@@ -315,31 +360,42 @@ def test_verify_t51_at_arity_13_finishes_in_memory():
     assert done.stdout == "theorem=T5.1 checked=6 failures=0 seed=0\n"
 
 
-def test_lead_gather_cache_stays_small_at_arity_10():
-    # 1,000 distinct (2,10) lead maps, each of the largest size oracle_gap
-    # caches; the bounded cache keeps the interpreter's resident set (read
-    # from /proc/self/statm, since ru_maxrss carries over exec) within 16 MiB
-    # of where it was before the maps were built.
+def test_id_gather_cache_stays_small():
+    # 290 distinct pair maps over the (2,6) to (2,10) shapes, the largest of
+    # the size oracle_gap and the sweeps cache; the bounded cache keeps the
+    # interpreter's resident set (read from /proc/self/statm, since
+    # ru_maxrss carries over exec) within 16 MiB of where it was before the
+    # maps were built.
     if not sys.platform.startswith("linux"):
         pytest.skip("reads /proc/self/statm")
     script = (
         "import itertools, os\n"
-        "from aritygap.oracle import _lead_gather, _partitions\n"
+        "from aritygap.oracle import _id_gather\n"
         "def rss():\n"
         "    with open('/proc/self/statm') as fh:\n"
         "        return int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
-        "slots = tuple(range(1, 11))\n"
-        "sigmas = list(itertools.islice(\n"
-        "    itertools.chain(_partitions(10, slots, 8), _partitions(10, slots, 7)), 1000))\n"
-        "assert len(set(sigmas)) == 1000\n"
+        "keys = [(n, i, j) for n in range(10, 5, -1)\n"
+        "        for i, j in itertools.permutations(range(1, n + 1), 2)]\n"
+        "assert len(keys) == 290\n"
         "before = rss()\n"
-        "for sigma in sigmas:\n"
-        "    _lead_gather(2, 10, sigma)\n"
+        "for n, i, j in keys:\n"
+        "    _id_gather(2, n, i, j)\n"
+        "assert _id_gather.cache_info().currsize == 256\n"
         "print((rss() - before) / 2**20)\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert done.stderr == ""
     assert float(done.stdout) <= 16
+
+
+def test_oracle_gap_builds_one_map_per_pair_of_essential_slots(monkeypatch):
+    # Every strict minor of gen_salomaa(6) is constant, so the scan reads
+    # all C(6, 2) identification minors and builds no other map.
+    built = []
+    real = oracle.itemgetter
+    monkeypatch.setattr(oracle, "itemgetter", lambda *index: built.append(len(index)) or real(*index))
+    assert oracle_gap(gen_salomaa(6)) == 6
+    assert built == [6**6] * 15
 
 
 @pytest.mark.parametrize("theorem, shape", [("T6.3", (3, 5, 2)), ("T4.4", (3, 4, 2))])
@@ -813,10 +869,10 @@ def test_id_minors_are_the_identification_minors(k, n):
 def test_identification_sweeps_keep_one_map_per_ordered_pair(theorem, checked):
     # The functions an exhaustive (2,4,2) sweep checks share the maps of the
     # 12 ordered pairs of slots.
-    oracle._lead_gather.cache_clear()
+    oracle._id_gather.cache_clear()
     report = verify(SweepSpec(theorem, 2, 4, 2, "exhaustive"))
     assert (report.checked, report.failures) == (checked, ())
-    assert oracle._lead_gather.cache_info().currsize == 12
+    assert oracle._id_gather.cache_info().currsize == 12
 
 
 def test_failures_replay(monkeypatch):

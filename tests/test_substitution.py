@@ -1,14 +1,14 @@
 """Properties of the one substitution-index builder in `minors`, of the
-partition-minor maps that `oracle_gap` builds for itself, and of the pair
-scan in `arity_gap` that stops early.
+identification-minor maps that `oracle_gap` builds for itself, and of the
+pair scan in `arity_gap` that stops early.
 
 Every re-indexed table of the library (simple minors, restrictions to
 essential slots and support extensions) is gathered through the `minors`
-index map; `oracle_gap` gathers its partition minors through its own maps,
-so that a fault in one is not repeated by the other.  Each result is checked
-here against a reference built from `FiniteFunction.eval` alone.  `arity_gap`
-is checked against a scan of every pair of essential slots.  Runs are
-derandomized, so the suite stays deterministic.
+index map; `oracle_gap` gathers its identification minors through its own
+maps, so that a fault in one is not repeated by the other.  Each result is
+checked here against a reference built from `FiniteFunction.eval` alone.
+`arity_gap` is checked against a scan of every pair of essential slots.  Runs
+are derandomized, so the suite stays deterministic.
 """
 
 import itertools
@@ -44,7 +44,7 @@ from aritygap import (
 )
 from aritygap.cli import main
 from aritygap.gap import _section
-from aritygap.oracle import _lead_gather, _partitions, parse_instance_filter, sampled_function
+from aritygap.oracle import _id_gather, parse_instance_filter, sampled_function
 
 MAX_SIZE = 1024
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
@@ -193,80 +193,18 @@ def test_trusted_sites_build_publicly_valid_functions(f, data):
         assert g == FiniteFunction(g.k, g.n, g.b, g.table)
 
 
-def bell(n):
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[-1]
-
-
-@settings(derandomize=True, deadline=None)
-@given(st.integers(1, 8))
-def test_partitions_are_the_coarser_lead_sigmas(n):
-    levels = {b: _partitions(n, tuple(range(1, n + 1)), b) for b in range(n - 1, 0, -1)}
-    leads = [sigma for level in levels.values() for sigma in level]
-    assert len(leads) == bell(n) - 1
-    assert len(set(leads)) == len(leads)
-    assert tuple(range(1, n + 1)) not in leads
-    blocks = [len(set(sigma)) for sigma in leads]
-    assert blocks == sorted(blocks, reverse=True)  # the most blocks first
-    for b, level in levels.items():
-        assert all(len(set(sigma)) == b for sigma in level)  # exactly b blocks
-    for sigma in leads:
-        assert len(sigma) == n
-        # each slot is fed from the least slot of its block, itself a lead
-        for s, lead in enumerate(sigma, start=1):
-            assert lead <= s and sigma[lead - 1] == lead
-
-
-def stirling2(m, b):
-    """The number of partitions of an m-set into exactly b blocks."""
-    if m == 0 or b == 0:
-        return int(m == b)
-    return b * stirling2(m - 1, b) + stirling2(m - 1, b - 1)
-
-
-@settings(derandomize=True, deadline=None)
-@given(st.data())
-def test_partitions_of_a_slot_subset_feed_the_other_slots_from_themselves(data):
-    n = data.draw(st.integers(1, 8))
-    slots = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1))))
-    m = len(slots)
-    for b in range(m - 1, 0, -1):
-        level = _partitions(n, slots, b)
-        assert len(set(level)) == len(level) == stirling2(m, b)
-        # the partitions of {1..m}, in the same order, carried over to slots
-        carried = []
-        for p in _partitions(m, tuple(range(1, m + 1)), b):
-            sigma = list(range(1, n + 1))
-            for s, lead in zip(slots, p):
-                sigma[s - 1] = slots[lead - 1]
-            carried.append(tuple(sigma))
-        assert list(level) == carried
-        for sigma in level:
-            assert len(sigma) == n
-            assert len({sigma[s - 1] for s in slots}) == b  # exactly b blocks
-            for s, lead in enumerate(sigma, start=1):
-                if s in slots:
-                    # fed from the least slot of its block, itself a lead
-                    assert lead in slots and lead <= s and sigma[lead - 1] == lead
-                else:
-                    assert lead == s
-
-
 @pytest.mark.parametrize("k,n", [(2, n) for n in range(1, 8)] + [(3, 4), (3, 5), (4, 4), (5, 3)])
 def test_oracle_partition_maps_are_the_substitution(k, n):
-    # Each entry of the table names its own index, so the gathered table is
-    # the map itself: entry t must read f at (t_sigma(1), ..., t_sigma(n)).
+    # The oracle's maps identify two slots: the partition with one block of
+    # two.  Each entry of the table names its own index, so the gathered
+    # table is the map itself: entry t must read f at (t_sigma(1), ...,
+    # t_sigma(n)), where sigma feeds slot i from slot j.
     f = FiniteFunction(k, n, k**n, tuple(range(k**n)))
-    every = tuple(range(1, n + 1))
-    for sigma in (s for b in range(n - 1, 0, -1) for s in _partitions(n, every, b)):
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        sigma = tuple(j if s == i else s for s in range(1, n + 1))
         reference = tuple(f.eval(tuple(t[s - 1] for s in sigma)) for t in points(k, n))
-        assert _lead_gather(k, n, sigma)(f.table) == reference, sigma
-        assert _lead_gather.__wrapped__(k, n, sigma)(f.table) == reference, sigma
+        assert _id_gather(k, n, i, j)(f.table) == reference, (i, j)
+        assert _id_gather.__wrapped__(k, n, i, j)(f.table) == reference, (i, j)
 
 
 def all_pairs_gap(f):
