@@ -150,10 +150,10 @@ class FiniteFunction:
 
     ``_packed`` is the same table as ``bytes`` (entry j is byte j), which the
     essential-slot scan and ``gap._section`` compare in C.  Only
-    ``parse_stream``'s one-pass read of single-ASCII-digit tables sets it,
-    where those bytes already exist; everywhere else it is None.  It is left
-    out of ``==``, ``hash`` and ``repr``, so a parsed function equals its
-    constructed twin.
+    ``parse_stream``'s one-pass read of single-ASCII-digit tables and
+    ``oracle.sampled_function`` at b <= 255 set it, where those bytes already
+    exist; everywhere else it is None.  It is left out of ``==``, ``hash``
+    and ``repr``, so a parsed function equals its constructed twin.
     """
 
     k: int

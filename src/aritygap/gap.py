@@ -44,6 +44,18 @@ def _section_layout(k: int, n: int, i: int, j: int) -> tuple:
 _small_layout = lru_cache(maxsize=256)(_section_layout)
 
 
+def _merged_is_inessential(k: int, n: int, i: int, j: int, table: Sequence[int]) -> bool:
+    # Whether _section's common digit is inessential: along its layout, each
+    # plane a = 1..k-1 of f's own table equals plane 0.
+    layout = _small_layout if k**n <= SMALL_TABLE_ENTRIES else _section_layout
+    wt, _, span, step, _, _, offsets = layout(k, n, i, j)
+    for x in range(wt, k * wt, wt):
+        for o, _ in offsets:
+            if table[x + o : x + o + span : step] != table[o : o + span : step]:
+                return False
+    return True
+
+
 def _section(k: int, n: int, i: int, j: int, table: Sequence[int]) -> Sequence[int]:
     # f restricted to x_i = x_j, as _section_layout describes it, with a
     # small table's layout read from _small_layout.  A packed (bytes) table
@@ -146,6 +158,10 @@ def _pair_scan(f: FiniteFunction) -> tuple[FiniteFunction, tuple[int, ...], int,
     best = -1
     best_pair = (1, 2)
     for i, j in combinations(range(1, ess + 1), 2):
+        # Once the best keeps ess - 2, a section whose merged slot is
+        # inessential keeps no more and cannot win: skip it unsectioned.
+        if best == ess - 2 and _merged_is_inessential(g.k, ess, i, j, table):
+            continue
         e = len(_essential_ids(g.k, ess - 1, _section(g.k, ess, i, j, table)))
         if e > best:
             best = e
@@ -158,21 +174,22 @@ def _pair_scan(f: FiniteFunction) -> tuple[FiniteFunction, tuple[int, ...], int,
 def arity_gap(f: FiniteFunction) -> GapReport:
     """Minimum drop in essential arity over identifications of two essential slots.
 
-    The function is first replaced by the equivalent one on its essential
-    slots, then unordered pairs of slots are identified in lexicographic
-    order; the reported pair is the least one achieving the minimum drop,
-    mapped back to the original numbering.  Each pair (i, j) is scanned on
-    the (n-1)-ary section x_i = x_j, which has the essential slots of the
-    identification minor (the minor does not depend on slot i).  The scan
-    stops at the first minor with ess - 1 essential slots: identifying slot
-    i with slot j makes slot i inessential, so no minor keeps more, and the
-    result is exact.  Quasi-arity and support come from one repeat-set scan,
-    which callers that read only the gap skip by calling `_pair_scan`.
+    f is first replaced by the equivalent function on its essential slots,
+    then pairs of slots are identified in lexicographic order; the reported
+    pair is the least one achieving the minimum drop, in f's numbering.
+    Pair (i, j) is scanned on the (n-1)-ary section x_i = x_j, which has the
+    essential slots of the identification minor.  A section keeps at most
+    ess - 1 slots, its merged slot (x_i = x_j) among them.  So the scan
+    stops at the first that keeps ess - 1, and once the best keeps ess - 2
+    it skips each pair whose merged slot, checked on f's own table, is
+    inessential: that section keeps at most ess - 2, and only a strict gain
+    replaces the best.  The result is exact either way.  Quasi-arity and
+    support come from one repeat-set scan, which callers that read only
+    the gap skip by calling `_pair_scan`.
     """
     g, slots, essl, pair = _pair_scan(f)
     ess = len(slots)
-    # The repeat set on the tuple: at ess <= k it is scanned pair by pair.
-    ids = _essential_ids(g.k, ess, g.table, on_repeat=True)
+    ids = _essential_ids(g.k, ess, g._packed or g.table, on_repeat=True)
     qa = quasi_arity(g) if ess == 2 else len(ids)
     support = _substitute(diagonal(g), ess, ids or (1,)) if qa <= 1 else None
     return GapReport(

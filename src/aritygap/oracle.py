@@ -120,8 +120,10 @@ def oracle_gap(f: FiniteFunction) -> int:
     arity of the minors that identify two essential slots.
 
     The minor that feeds slot j from slot i does not read slot j, so it
-    keeps at most ess - 1 slots, and the scan returns once one does.  A
-    substitution minor that feeds two essential slots from one slot is a
+    keeps at most ess - 1 slots, and the scan returns once one does.  Only
+    f's essential slots other than j are checked there: an inessential slot
+    s of f stays inessential, as varying t_s changes f's argument only at s.
+    A substitution minor that feeds two essential slots from one slot is a
     minor of one of these, and a minor of g keeps no more slots than g, so
     none keeps more.
     """
@@ -131,7 +133,8 @@ def oracle_gap(f: FiniteFunction) -> int:
         raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
     best = 0
     for i, j in itertools.combinations(slots, 2):
-        best = max(best, _essential_count(f.k, f.n, _id_table(f, j, i)))
+        minor = _id_table(f, j, i)
+        best = max(best, sum([_is_essential(f.k, f.n, minor, s) for s in slots if s != j]))
         if best == ess - 1:
             break
     return ess - best
@@ -702,13 +705,13 @@ def _top_bits(b: int) -> tuple[bytes, bytes]:
     return top, bytes(x for x in range(256) if x >> shift >= b)
 
 
-def _sampled_table(rng: random.Random, size: int, b: int) -> tuple[int, ...]:
+def _sampled_table(rng: random.Random, size: int, b: int) -> tuple[tuple[int, ...], bytes | None]:
     # The first `size` values of randrange(b) on rng, which may be drawn
-    # past them.  getrandbits(32 * m) holds the next m words, the first one
-    # least significant, so the little-endian bytes 3, 7, ... are the top
-    # bytes of the words in draw order.
+    # past them, and for b <= 255 their bytes.  getrandbits(32 * m) holds the
+    # next m words, the first one least significant, so the little-endian
+    # bytes 3, 7, ... are the top bytes of the words in draw order.
     if b > 255:
-        return _random_table(rng, size, b)
+        return _random_table(rng, size, b), None
     top, delete = _top_bits(b)
     bits = b.bit_length()
     values = b""
@@ -716,7 +719,7 @@ def _sampled_table(rng: random.Random, size: int, b: int) -> tuple[int, ...]:
         words = ((size - len(values)) << bits) // b + 1
         drawn = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
         values += drawn.translate(top, delete)
-    return tuple(values[:size])
+    return tuple(values[:size]), values[:size]
 
 
 def sampled_function(k: int, n: int, b: int, seed: int | None, index: int) -> FiniteFunction:
@@ -724,7 +727,7 @@ def sampled_function(k: int, n: int, b: int, seed: int | None, index: int) -> Fi
     randrange(b) draws from random.Random(f"{seed}:{index}")."""
     size = _check_shape(k, n, b)
     rng = random.Random(f"{seed}:{index}")
-    return FiniteFunction._valid(k, n, b, _sampled_table(rng, size, b))
+    return FiniteFunction._valid(k, n, b, *_sampled_table(rng, size, b))
 
 
 def constructed_witnesses(k: int, n: int, b: int, seed: int | None) -> list[FiniteFunction]:

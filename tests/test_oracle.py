@@ -171,6 +171,19 @@ def test_oracle_gap_is_the_least_drop_over_strict_partition_minors():
     assert seen > 20000
 
 
+def test_oracle_gap_checks_only_the_slots_that_can_stay_essential(monkeypatch):
+    # Over the exhaustive (2,4,2) T5.1 inputs, oracle_gap checks the n slots
+    # of f and, in each identification minor it reads, f's essential slots
+    # other than the fed one: 491,214 calls.  Checking every slot of each
+    # minor made 569,480, 78,266 of them on slots that cannot be essential.
+    calls = []
+    real = oracle._is_essential
+    monkeypatch.setattr(oracle, "_is_essential", lambda *args: calls.append(args) or real(*args))
+    report = verify(SweepSpec("T5.1", 2, 4, 2, "exhaustive"))
+    assert (report.checked, report.failures) == (65536, ())
+    assert len(calls) == 491214
+
+
 @pytest.mark.parametrize("k,n,b", [(2, 2, 2), (2, 3, 2), (3, 2, 2)])
 def test_oracle_gap_agrees_with_arity_gap_exhaustive(k, n, b):
     for f in all_functions(k, n, b):
@@ -954,21 +967,26 @@ def test_sampled_tables_are_randrange_draws():
         for size in (1, 2, 5, 81, 243, 1000):
             for seed in range(3):
                 key = f"{seed}:{b}:{size}"
-                got = _sampled_table(random.Random(key), size, b)
+                got, packed = _sampled_table(random.Random(key), size, b)
                 assert got == randrange_table(key, size, b), (b, size, seed)
+                assert packed == (bytes(got) if b <= 255 else None)
     # b = 129 rejects 127 of every 256 top bytes, so a batch sized for the
     # expected rate often comes up short and a second one is drawn
     batches = []
     for seed in range(10):
         rng = CountingRandom(seed)
-        assert _sampled_table(rng, 1000, 129) == randrange_table(seed, 1000, 129)
+        assert _sampled_table(rng, 1000, 129)[0] == randrange_table(seed, 1000, 129)
         batches.append(rng.calls)
     assert max(batches) >= 2
-    for k, n, b in ((3, 5, 2), (3, 3, 3), (2, 4, 2), (2, 2, 300), (2, 8, 129), (2, 3, 256)):
+    # A sampled function keeps the drawn bytes as _packed below 256 values.
+    shapes = ((3, 5, 2), (3, 3, 3), (2, 4, 2), (2, 2, 300), (2, 8, 129), (2, 3, 255), (2, 3, 256))
+    for k, n, b in shapes:
         for seed in (0, 7, None):
             for i in range(5):
                 want = randrange_table(f"{seed}:{i}", k**n, b)
-                assert sampled_function(k, n, b, seed, i).table == want
+                f = sampled_function(k, n, b, seed, i)
+                assert f.table == want
+                assert f._packed == (bytes(want) if b <= 255 else None)
 
 
 @pytest.mark.parametrize("k, n, b", [(2, 2, 2), (2, 2, 3), (3, 1, 3), (2, 3, 2)])

@@ -1,21 +1,23 @@
 """Properties of the one substitution-index builder in `minors`, of the
 identification-minor maps that `oracle_gap` builds for itself, and of the
-pair scan in `arity_gap` that stops early.
+pair scan in `arity_gap` that stops early and skips pairs that cannot win.
 
 Every re-indexed table of the library (simple minors, restrictions to
 essential slots and support extensions) is gathered through the `minors`
 index map; `oracle_gap` gathers its identification minors through its own
 maps, so that a fault in one is not repeated by the other.  Each result is
 checked here against a reference built from `FiniteFunction.eval` alone.
-`arity_gap` is checked against a scan of every pair of essential slots.  Runs
+`arity_gap` is checked against a scan of every pair of essential slots,
+also on tables built so that pairs are skipped before a later one wins.  Runs
 are derandomized, so the suite stays deterministic.
 """
 
+import inspect
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import aritygap.gap
 from aritygap import (
@@ -35,8 +37,10 @@ from aritygap import (
     gen_essentially_m_ary,
     gen_quasi_m_ary,
     identification_minor,
+    parse,
     partition_minor,
     quasi_arity,
+    render,
     restrict_to_essential,
     simple_minor,
     support_extension,
@@ -271,11 +275,34 @@ def test_arity_gap_stops_at_first_pair_keeping_ess_minus_one(monkeypatch):
     assert calls == [(1, 2)]
 
 
-def test_arity_gap_visits_every_pair_of_a_parity_table(monkeypatch):
-    f = parity(2, 6)
+def counted_prunes(monkeypatch):
+    pruned = []
+    real = aritygap.gap._merged_is_inessential
+
+    def counting(k, n, i, j, table):
+        out = real(k, n, i, j, table)
+        if out:
+            pruned.append((i, j))
+        return out
+
+    monkeypatch.setattr(aritygap.gap, "_merged_is_inessential", counting)
+    return pruned
+
+
+@pytest.mark.parametrize("n, skipped", [(6, 14), (14, 90)], ids=["6", "14"])
+def test_arity_gap_sections_one_pair_of_a_parity_table(monkeypatch, n, skipped):
+    # Pair (1, 2) keeps ess - 2 slots; every later pair's merged slot is
+    # inessential (x_i + x_i = 0 mod 2), so it is skipped unsectioned.
+    f = parity(2, n)
     calls = counted_identifications(monkeypatch)
-    assert arity_gap(f).gap == 2
-    assert calls == list(itertools.combinations(range(1, 7), 2))
+    pruned = counted_prunes(monkeypatch)
+    for g in (f, parse(render(f))):
+        calls.clear()
+        pruned.clear()
+        assert arity_gap(g).gap == 2
+        assert calls == [(1, 2)]
+        assert pruned == list(itertools.combinations(range(1, n + 1), 2))[1:]
+        assert len(pruned) == skipped
 
 
 def test_arity_gap_scans_the_repeat_set_once(monkeypatch):
@@ -397,3 +424,123 @@ def test_arity_gap_is_the_pair_loop_seeded(k, n, b, seed):
     ]
     for f in fs:
         same_as_pair_loop(f)
+
+
+def parity_with_term(k, n, b, parity_slots, term_slots, term, p=None, h=(0, 1)):
+    """h((p(t_s) summed over parity_slots) + term(t_i, t_j) mod 2) with (i, j)
+    = term_slots and p(a) = a mod 2 by default.  Identifying two parity
+    slots cancels them, so their section's merged slot is inessential
+    wherever the term does not read it."""
+    p = p or [a % 2 for a in range(k)]
+    i, j = term_slots
+    return FiniteFunction(
+        k, n, b,
+        tuple(
+            h[(sum(p[t[s - 1]] for s in parity_slots) + term[t[i - 1] * k + t[j - 1]]) % 2]
+            for t in points(k, n)
+        ),
+    )
+
+
+@st.composite
+def pruned_scan_tables(draw):
+    """A parity over some or all slots, plus a term on two slots (often the
+    last two) that is 1 on a few digit pairs (often (k-1, k-1) alone): many
+    pairs keep ess - 2 slots with an inessential merged slot, and a pair
+    that keeps ess - 1 may come later, with a merged slot that differs at
+    digit k - 1 only.  Or a random table."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(2, {2: 8, 3: 5, 4: 4}[k]))
+    b = draw(st.integers(2, 3))
+    if draw(st.integers(0, 4)) == 0:
+        return FiniteFunction(k, n, b, draw(tables(k, n, b)))
+    parity_slots = sorted(draw(st.sets(st.integers(1, n), min_size=2) | st.just(range(1, n + 1))))
+    pair = st.sets(st.integers(1, n), min_size=2, max_size=2).map(sorted)
+    term_slots = tuple(draw(pair | st.just((n - 1, n))))
+    hits = draw(st.sets(st.integers(0, k * k - 1), max_size=2) | st.just({k * k - 1}))
+    p = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=k - 2, max_size=k - 2))
+    h = draw(st.permutations(range(b)))[:2]
+    term = [int(x in hits) for x in range(k * k)]
+    return parity_with_term(k, n, b, parity_slots, term_slots, term, draw(st.permutations(p)), h)
+
+
+# x1 + x2 + x3 x4 + parity(x5..x12): pair (1, 2) keeps 10 of 12 slots, and
+# (1, 3) is the least pair keeping 11.
+X3_AND_X4 = parity_with_term(2, 12, 2, [1, 2, *range(5, 13)], (3, 4), [0, 0, 0, 1])
+# The same at k = 3: the term [x4 = x5 = 2] leaves the merged slot of every
+# pair holding slot 4 or 5 equal at digits 0 and 1, and pair (1, 4) is the
+# least keeping 4 of 5.
+DIGIT_TWO = parity_with_term(3, 5, 2, range(1, 6), (4, 5), [0] * 8 + [1])
+
+
+def check_pruned_scan(t):
+    # The pruned scan gives the full pair loop's report on the tuple table
+    # and on its packed twin, through arity_gap and through _pair_scan.
+    for f in (t, parse(render(t))):
+        same_as_pair_loop(f)
+        try:
+            r = arity_gap(f)
+        except GapUndefinedError:
+            continue
+        _, slots, essl, pair = aritygap.gap._pair_scan(f)
+        assert (slots, essl, pair) == (r.essential, r.essl, r.pair)
+
+
+PRUNED_SCAN = settings(derandomize=True, max_examples=300, deadline=None, report_multiple_bugs=False)
+
+
+@PRUNED_SCAN
+@given(pruned_scan_tables())
+@example(X3_AND_X4)
+@example(DIGIT_TWO)
+@example(parity(3, 6))
+def test_pruned_pair_scan_is_the_pair_loop(t):
+    check_pruned_scan(t)
+
+
+@pytest.mark.parametrize(
+    "f, sectioned, pruned",
+    [(X3_AND_X4, [(1, 2), (1, 3)], []), (DIGIT_TWO, [(1, 2), (1, 4)], [(1, 3)])],
+    ids=["x3-and-x4", "digit-two"],
+)
+def test_pruned_scan_sections_a_late_winner(monkeypatch, f, sectioned, pruned):
+    # Pair (1, 2) keeps ess - 2 slots; a later pair with an essential merged
+    # slot is still sectioned, and the first that keeps ess - 1 wins.
+    calls = counted_identifications(monkeypatch)
+    skipped = counted_prunes(monkeypatch)
+    r = arity_gap(f)
+    assert (calls, skipped) == (sectioned, pruned)
+    assert (r.gap, r.pair) == (1, sectioned[-1])
+
+
+def patched(monkeypatch, name, old, new):
+    # A twin of gap.<name> with one line of its source changed.
+    source = inspect.getsource(getattr(aritygap.gap, name))
+    assert source.count(old) == 1
+    scope = dict(vars(aritygap.gap))
+    exec(source.replace(old, new), scope)
+    monkeypatch.setattr(aritygap.gap, name, scope[name])
+
+
+@pytest.mark.parametrize(
+    "name,old,new",
+    [
+        # compares digit 1 with digit 0 only, which misses a k >= 3 merged
+        # slot that differs at digit 2 (DIGIT_TWO)
+        ("_merged_is_inessential", "for x in range(wt, k * wt, wt)", "for x in (wt,)"),
+        # prunes once the best keeps ess - 3 too, which the generated tables
+        # show at ess = 2, where the initial best -1 is ess - 3 (x1 + x2)
+        ("_pair_scan", "if best == ess - 2 and", "if best in (ess - 2, ess - 3) and"),
+    ],
+    ids=["digit-1-only", "prune-at-ess-3"],
+)
+def test_pruned_scan_check_fails_a_faulty_prune(monkeypatch, name, old, new):
+    patched(monkeypatch, name, old, new)
+
+    @settings(PRUNED_SCAN, phases=[Phase.generate])
+    @given(pruned_scan_tables())
+    def check(t):
+        check_pruned_scan(t)
+
+    with pytest.raises(AssertionError):
+        check()
