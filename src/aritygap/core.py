@@ -34,11 +34,6 @@ from typing import Callable, Iterator, Sequence
 # Guard against absurd table sizes before allocating anything.
 MAX_TABLE_ENTRIES = 10**8
 
-# A table of at most this many entries is small: the index data built for
-# its shape (the oracle's identification maps, arity_gap's section layouts)
-# is kept for the next table of that shape, and a larger table's is not.
-SMALL_TABLE_ENTRIES = 1024
-
 _DIGITS = b"0123456789"
 _DIGIT_VALUES = bytes.maketrans(_DIGITS, bytes(range(10)))
 

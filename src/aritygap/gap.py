@@ -8,7 +8,6 @@ from itertools import combinations
 from typing import Sequence
 
 from .core import (
-    SMALL_TABLE_ENTRIES,
     FiniteFunction,
     GapUndefinedError,
     NoSuchSupportError,
@@ -19,6 +18,7 @@ from .analysis import _essential_ids, _repeat_set, restrict_to_essential
 from .minors import _substitute, diagonal
 
 
+@lru_cache(maxsize=256)
 def _section_layout(k: int, n: int, i: int, j: int) -> tuple:
     # How _section copies f restricted to x_i = x_j: the (n-1)-ary table
     # without slot i, in slices.  The free digits above, between and below
@@ -26,7 +26,9 @@ def _section_layout(k: int, n: int, i: int, j: int) -> tuple:
     # the section); each slice runs along the longest group, and the other
     # two give the (table, section) offsets of its starts.  The common digit
     # a weighs k^(n-i) + k^(n-j) in f's table and k^(n-1-j) in the section,
-    # or k^(n-j) when i < j moves slot j one place up.
+    # or k^(n-j) when i < j moves slot j one place up.  Kept at every size:
+    # the layouts of all pairs i < j of a shape hold fewer offsets than f's
+    # table has entries (at most 0.61 k^n, at (2,6); 0.10 k^n at (2,18)).
     si, sj = k ** (n - i), k ** (n - j)
     hi, lo = (si, sj) if si > sj else (sj, si)
     mid = k * lo if i < j else lo
@@ -37,18 +39,10 @@ def _section_layout(k: int, n: int, i: int, j: int) -> tuple:
     return si + sj, sj if i < j else sj // k, run * step, step, run * ostep, ostep, offsets
 
 
-# The section layouts of small tables, kept per (k, n, i, j); at most 272
-# such keys with i < j exist.  The size is that of the table sectioned, f
-# restricted to its essential slots, so a wide table with few essential
-# slots takes this path too.
-_small_layout = lru_cache(maxsize=256)(_section_layout)
-
-
 def _merged_is_inessential(k: int, n: int, i: int, j: int, table: Sequence[int]) -> bool:
     # Whether _section's common digit is inessential: along its layout, each
     # plane a = 1..k-1 of f's own table equals plane 0.
-    layout = _small_layout if k**n <= SMALL_TABLE_ENTRIES else _section_layout
-    wt, _, span, step, _, _, offsets = layout(k, n, i, j)
+    wt, _, span, step, _, _, offsets = _section_layout(k, n, i, j)
     for x in range(wt, k * wt, wt):
         for o, _ in offsets:
             if table[x + o : x + o + span : step] != table[o : o + span : step]:
@@ -57,11 +51,9 @@ def _merged_is_inessential(k: int, n: int, i: int, j: int, table: Sequence[int])
 
 
 def _section(k: int, n: int, i: int, j: int, table: Sequence[int]) -> Sequence[int]:
-    # f restricted to x_i = x_j, as _section_layout describes it, with a
-    # small table's layout read from _small_layout.  A packed (bytes) table
-    # gives a bytearray, any other a list.
-    layout = _small_layout if k**n <= SMALL_TABLE_ENTRIES else _section_layout
-    wt, wa, span, step, ospan, ostep, offsets = layout(k, n, i, j)
+    # f restricted to x_i = x_j, as _section_layout describes it.  A packed
+    # (bytes) table gives a bytearray, any other a list.
+    wt, wa, span, step, ospan, ostep, offsets = _section_layout(k, n, i, j)
     out = bytearray(k ** (n - 1)) if isinstance(table, bytes) else [0] * k ** (n - 1)
     for a in range(k):
         x, y = a * wt, a * wa

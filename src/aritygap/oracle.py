@@ -28,7 +28,6 @@ from typing import Callable, Iterator, Sequence
 from .core import (
     FiniteFunction,
     GapUndefinedError,
-    SMALL_TABLE_ENTRIES,
     OracleInfeasibleError,
     UnsupportedCodomainError,
     UnsupportedDomainError,
@@ -47,6 +46,11 @@ from .oddsupp import is_restriction_determined_by_oddsupp, oddsupp_mask, reachab
 
 DEFAULT_BUDGET = 10**7
 GENERATOR_ATTEMPTS = 1000
+
+# A table of at most this many entries is small: the identification maps
+# built for its shape are kept for the next table of that shape, and a
+# larger table's, k^n indices per pair, are not.
+SMALL_TABLE_ENTRIES = 1024
 
 
 def _resolve_budget(budget: int | None) -> int:

@@ -21,8 +21,7 @@ from aritygap import (
     tuple_to_index,
 )
 from aritygap.analysis import _essential_ids
-from aritygap.core import SMALL_TABLE_ENTRIES
-from aritygap.gap import _section, _small_layout
+from aritygap.gap import _section, _section_layout
 from aritygap.oracle import _id_gather
 
 XOR2 = FiniteFunction(2, 2, 2, (0, 1, 1, 0))
@@ -211,9 +210,8 @@ def test_section_is_the_definition(k, n):
     # The first table names its own indices, so the section is the index
     # map itself; the others keep different numbers of slots per pair.  The
     # layout cache starts empty, so the first table's sections build the
-    # layouts and the others read them; the (2,11) tables are over the
-    # limit and keep none.
-    _small_layout.cache_clear()
+    # layouts and the others read them, at every size.
+    _section_layout.cache_clear()
     rng = random.Random(k * 10 + n)
     fs = [
         FiniteFunction(k, n, k**n, tuple(range(k**n))),
@@ -225,8 +223,7 @@ def test_section_is_the_definition(k, n):
     for f in fs:
         for i, j in itertools.permutations(range(1, n + 1), 2):
             check_section(f, i, j)
-    pairs = n * (n - 1) if k**n <= SMALL_TABLE_ENTRIES else 0
-    assert _small_layout.cache_info().currsize == pairs
+    assert _section_layout.cache_info().currsize == n * (n - 1)
 
 
 @pytest.mark.parametrize("k,n", SECTION_SHAPES + [(2, 11)])
@@ -257,7 +254,7 @@ def test_cached_section_is_the_definition(k, n):
     # arity_gap reads its sections through the layout cache.  With the cache
     # cold and then warm it reports the essential count and least pair that
     # the identification minors give, and the cold scan keeps one layout per
-    # pair it read, none for a table over the limit.
+    # pair it read, at every size.
     rng = random.Random(k * 10 + n)
     fs = [
         FiniteFunction(k, n, 3, tuple(rng.randrange(3) for _ in range(k**n))),
@@ -266,7 +263,7 @@ def test_cached_section_is_the_definition(k, n):
     if n <= k:
         fs.append(gen_quasi_m_ary(k, n, 2, 1, rng.getrandbits(32)))
     for f in fs:
-        _small_layout.cache_clear()
+        _section_layout.cache_clear()
         report = arity_gap(f)
         pairs = list(itertools.combinations(report.essential, 2))
         kept = [essential_arity(identification_minor(f, i, j)) for i, j in pairs]
@@ -274,7 +271,6 @@ def test_cached_section_is_the_definition(k, n):
         assert (report.essl, report.pair) == (essl, pairs[kept.index(essl)])
         ess = len(report.essential)
         scanned = kept.index(essl) + 1 if essl == ess - 1 else len(pairs)
-        cached = scanned if k**ess <= SMALL_TABLE_ENTRIES else 0
-        assert _small_layout.cache_info().currsize == cached
+        assert _section_layout.cache_info().currsize == scanned
         assert arity_gap(f) == report
-        assert _small_layout.cache_info().currsize == cached
+        assert _section_layout.cache_info().currsize == scanned

@@ -15,6 +15,7 @@ are derandomized, so the suite stays deterministic.
 import inspect
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -350,7 +351,7 @@ def test_enumerate_builds_each_section_layout_once(capsys):
     # Restricted to their essential slots, the (2,4,2) tables have 2, 3 or 4
     # slots; over all of them the gap=2 filter meets the 1 + 3 + 6 pairs of
     # those shapes, and builds each pair's layout once.
-    layouts = aritygap.gap._small_layout
+    layouts = aritygap.gap._section_layout
     layouts.cache_clear()
     assert main(["enumerate", "--k", "2", "--n", "4", "--b", "2", "--filter", "gap=2"]) == 0
     assert capsys.readouterr().out.count("\n") == 2 * 78
@@ -358,15 +359,37 @@ def test_enumerate_builds_each_section_layout_once(capsys):
     assert info.misses == info.currsize == 10
 
 
-def test_section_layouts_of_large_tables_are_not_kept():
-    # Only tables of up to 1,024 entries keep their layouts: a stream of
-    # wide tables would otherwise fill the cache with large offset lists.
-    layouts = aritygap.gap._small_layout
+def test_section_layouts_of_large_tables_are_kept():
+    # The (2,11) parity table has 2,048 entries.  The first arity_gap call
+    # reads all 55 pairs (one sectioned, 54 checked and skipped) and builds
+    # each pair's layout; a second call builds none.
+    layouts = aritygap.gap._section_layout
     layouts.cache_clear()
-    assert arity_gap(parity(2, 10)).gap == 2
-    assert layouts.cache_info().currsize == 45
     assert arity_gap(parity(2, 11)).gap == 2
-    assert layouts.cache_info().currsize == 45
+    assert layouts.cache_info().misses == layouts.cache_info().currsize == 55
+    assert arity_gap(parity(2, 11)).gap == 2
+    assert layouts.cache_info().misses == layouts.cache_info().currsize == 55
+
+
+def test_section_layouts_of_a_shape_hold_fewer_offsets_than_its_table():
+    # The memory bound that lets every layout be kept: over the pairs i < j
+    # of any shape up to 2^16 entries the offsets add up to fewer than k^n,
+    # and all 153 layouts of (2,18) take at most 4 MiB (2.76 MiB measured).
+    build = aritygap.gap._section_layout.__wrapped__
+    for k in range(2, 257):
+        for n in range(2, 17):
+            if k**n > 2**16:
+                break
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            assert sum(len(build(k, n, i, j)[-1]) for i, j in pairs) < k**n, (k, n)
+    tracemalloc.start()
+    try:
+        layouts = [build(2, 18, i, j) for i, j in itertools.combinations(range(1, 19), 2)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(layouts) == 153
+    assert held <= 4 * 2**20
 
 
 def pair_loop_gap(f):
