@@ -42,9 +42,14 @@ def build_parser() -> argparse.ArgumentParser:
     return _parser(tuple(sorted(THEOREMS)))
 
 
+class _Parser(argparse.ArgumentParser):  # the subcommand parsers' class too
+    def error(self, message):  # one line, like every other error
+        self.exit(2, f"aritygap: {message}\n")
+
+
 @lru_cache(maxsize=1)
 def _parser(theorems: tuple[str, ...]) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aritygap",
         description="Essential variables, minors, quasi-arity and arity gap "
         "of finite functions given as dense tables.",
@@ -217,9 +222,7 @@ def _cmd_oddsupp_check(args, out: _Output) -> int:
             )
         else:
             parts.append(f"star_constant={int(profile.star_constant)}")
-            parts.append(
-                "star=" + ",".join(f"{m}:{v}" for m, v in sorted(profile.star.items()))
-            )
+            parts.append("star=" + ",".join(f"{m}:{v}" for m, v in profile.star.items()))
         out.write(" ".join(parts) + "\n")
     return 0
 
@@ -285,12 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     except core.ArityGapError as exc:
         print(f"aritygap: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"aritygap: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"aritygap: {exc}", file=sys.stderr)
         return 2
     finally:

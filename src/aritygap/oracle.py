@@ -53,17 +53,15 @@ GENERATOR_ATTEMPTS = 1000
 SMALL_TABLE_ENTRIES = 1024
 
 
-def _resolve_budget(budget: int | None) -> int:
-    # The budget given, else ARITYGAP_BUDGET (ASCII digits), else the default.
-    if budget is not None:
-        return budget
+def _budget() -> int:
+    # ARITYGAP_BUDGET (ASCII digits), else the default.
     env = os.environ.get("ARITYGAP_BUDGET")
     if env and not re.fullmatch(r"[0-9]+", env):
         raise ValueError(f"ARITYGAP_BUDGET must be a non-negative integer, got {env!r}")
     return int(env) if env else DEFAULT_BUDGET
 
 
-def function_count(k: int, n: int, b: int, budget: int | None = None) -> int:
+def function_count(k: int, n: int, b: int) -> int:
     """b^(k^n), the number of tables over k, n and b; OracleInfeasibleError
     over the budget.
 
@@ -71,7 +69,7 @@ def function_count(k: int, n: int, b: int, budget: int | None = None) -> int:
     so a count that large is named as a power, not computed.
     """
     size = _check_shape(k, n, b)
-    budget = _resolve_budget(budget)
+    budget = _budget()
     if size >= budget.bit_length():
         raise OracleInfeasibleError(f"{b}^{size} tables exceed the budget {budget}")
     total = b**size
@@ -144,7 +142,7 @@ def oracle_gap(f: FiniteFunction) -> int:
     return ess - best
 
 
-def _repeat_rows_within_budget(k: int, n: int, budget: int | None = None) -> int:
+def _repeat_rows_within_budget(k: int, n: int) -> int:
     # The repeat-set rows oracle_quasi_arity searches at shape (k, n), 0 when
     # every tuple is in the repeat set (n > k, or n = 1);
     # OracleInfeasibleError when 2^n slot sets over them exceed the budget.
@@ -152,14 +150,14 @@ def _repeat_rows_within_budget(k: int, n: int, budget: int | None = None) -> int
     if not free:
         return 0
     rows = k**n - free
-    if 2**n * rows > _resolve_budget(budget):
+    if 2**n * rows > _budget():
         raise OracleInfeasibleError(
             f"2^{n} slot sets over {rows} repeat-set rows exceed the budget"
         )
     return rows
 
 
-def oracle_quasi_arity(f: FiniteFunction, budget: int | None = None) -> int:
+def oracle_quasi_arity(f: FiniteFunction) -> int:
     """Quasi-arity recomputed as the least essential arity of a total
     function that agrees with f on the repeat set.
 
@@ -168,11 +166,11 @@ def oracle_quasi_arity(f: FiniteFunction, budget: int | None = None) -> int:
     entry through that function), so the answer is the least such |S|,
     found by trying slot sets in order of size.  With no repeat-free entries
     (n > k, or n = 1) f is its only completion, and the answer is its
-    essential arity.  The budget bounds the search: 2^n slot sets times the
-    repeat-set rows.
+    essential arity.  ARITYGAP_BUDGET, else DEFAULT_BUDGET, bounds the
+    search: 2^n slot sets times the repeat-set rows.
     """
     k, n = f.k, f.n
-    if not _repeat_rows_within_budget(k, n, budget):
+    if not _repeat_rows_within_budget(k, n):
         return _essential_count(k, n, f.table)
     # The repeat set read off the tuples, not from the kernel's flags.
     repeat = [(t, v) for t, v in zip(all_tuples(k, n), f.table) if len(set(t)) < n]
@@ -265,14 +263,14 @@ def gen_quasi_m_ary(k: int, n: int, b: int, m: int, seed: int) -> FiniteFunction
 
     Works by fixing an essentially m-ary function on the repeat set and
     randomizing the remaining (repeat-free) entries until every slot is
-    essential.  For m < n this needs repeat-free tuples to exist (n <= k),
+    essential.  For m < n this needs repeat-free tuples to exist (1 < n <= k),
     and a binary function can never be quasi-binary; both impossibilities are
     rejected up front.
     """
     _check_shape(k, n, b)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    if m < n and n > k:
+    if m < n and (n > k or n == 1):
         raise ValueError(
             f"arity {n} over a {k}-element domain leaves no repeat-free tuples, "
             f"so quasi-{m}-ary functions there depend on at most {m} slots"
@@ -551,8 +549,8 @@ class TheoremCheck:
     A sweep runs the predicate only on functions that meet the hypotheses:
     `arity(k, n)` holds for the sweep's shape, every slot is essential when
     `all_essential` is set, and the quasi-arity is n when `quasi_full` is
-    set.  `within_budget(k, n, budget)` raises OracleInfeasibleError when
-    the predicate's own search would exceed the budget at that shape.  The
+    set.  `within_budget(k, n)` raises OracleInfeasibleError when the
+    predicate's own search would exceed the budget at that shape.  The
     predicate returns None for any further case the statement leaves out.
     """
 
@@ -563,7 +561,7 @@ class TheoremCheck:
     needs_two_element_domain: bool = False  # k = 2 required
     _: KW_ONLY
     arity: Callable[[int, int], bool] = lambda k, n: True
-    within_budget: Callable[[int, int, int | None], object] = lambda k, n, budget: None
+    within_budget: Callable[[int, int], object] = lambda k, n: None
     all_essential: bool = False
     quasi_full: bool = False
 
@@ -796,7 +794,7 @@ def _sweep_range(spec: SweepSpec, bounds: tuple[int, int]) -> tuple[int, list[tu
     return _check_each(spec, functions)
 
 
-def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> VerificationReport:
+def verify(spec: SweepSpec, jobs: int = 1) -> VerificationReport:
     """Run one named check over the requested function space.
 
     checked counts the functions that meet the hypotheses declared on the
@@ -804,10 +802,8 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
     sorted by table and must reproduce when replayed.  `jobs` must be at
     least 1 and is capped at the CPU count.
 
-    `budget` bounds the exhaustive enumeration and the check's
-    `within_budget` refusal.  The predicate's own search (L3.4's
-    `oracle_quasi_arity(f)`) still resolves ARITYGAP_BUDGET or the default,
-    so a budget above that one still ends in the oracle's refusal.
+    ARITYGAP_BUDGET (else DEFAULT_BUDGET) bounds the exhaustive enumeration,
+    the check's `within_budget` refusal and its predicate's own search alike.
     """
     if spec.theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id {spec.theorem!r}")
@@ -823,7 +819,7 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
     start = time.perf_counter()
     if spec.mode == "exhaustive":
         try:
-            total = function_count(spec.k, spec.n, spec.b, budget)
+            total = function_count(spec.k, spec.n, spec.b)
         except OracleInfeasibleError as exc:
             raise OracleInfeasibleError(f"{exc}; use sampling") from None
         extras: list[FiniteFunction] = []
@@ -832,7 +828,7 @@ def verify(spec: SweepSpec, budget: int | None = None, jobs: int = 1) -> Verific
         # Whether the check's own search fits its budget depends on the
         # shape alone, so an over-budget shape is refused before the
         # samples and the witness battery are built.
-        check.within_budget(spec.k, spec.n, budget)
+        check.within_budget(spec.k, spec.n)
         extras = constructed_witnesses(spec.k, spec.n, spec.b, spec.seed)
 
     sweep = partial(_sweep_range, spec)

@@ -66,6 +66,22 @@ def test_usage_error_exit_code(monkeypatch, capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+        (["verify", "--theorem", "T4.1", "--k", "x"], "argument --k: invalid int value: 'x'"),
+        (["gen", "quasi", "--k", "2", "--k"], "argument --k: expected one argument"),
+    ],
+    ids=["unknown-flag", "no-command", "not-an-integer", "no-value"],
+)
+def test_usage_error_is_one_line(argv, message, monkeypatch, capsys):
+    # argparse's own report is a usage block and then the error; the CLI
+    # reports a usage error as one line, like every other error.
+    assert run_cli(argv, "", monkeypatch, capsys) == (2, "", f"aritygap: {message}\n")
+
+
 def test_classify_general_and_boolean(monkeypatch, capsys):
     code, out, _ = run_cli(["classify"], XOR2_TEXT, monkeypatch, capsys)
     assert code == 0

@@ -463,10 +463,11 @@ def test_oracle_quasi_arity_examples():
     assert oracle_quasi_arity(wide) == len(essential_slots(wide))
 
 
-def test_oracle_quasi_arity_budget():
+def test_oracle_quasi_arity_budget(monkeypatch):
     f = from_function(3, 3, 3, lambda t: t[0])
+    monkeypatch.setenv("ARITYGAP_BUDGET", "10")
     with pytest.raises(OracleInfeasibleError):
-        oracle_quasi_arity(f, budget=10)
+        oracle_quasi_arity(f)
 
 
 @pytest.mark.parametrize("k,n,b", [(2, 2, 2), (3, 2, 2), (3, 2, 3)])
@@ -490,16 +491,17 @@ def test_oracle_quasi_arity_budget_is_refused_before_the_battery(monkeypatch):
     assert len(built) == 1
 
 
-def test_verify_budget_reaches_the_quasi_arity_bound(monkeypatch):
-    # The budget given to verify, not only ARITYGAP_BUDGET, bounds L3.4's
+def test_one_budget_bounds_the_quasi_arity_refusal_and_search(monkeypatch):
+    # ARITYGAP_BUDGET bounds both L3.4's early refusal and its predicate's
     # search: (4,3) needs 2^3 slot sets over 40 repeat-set rows.
-    monkeypatch.delenv("ARITYGAP_BUDGET", raising=False)
     spec = SweepSpec("L3.4", 4, 3, 2, "sampled", samples=50, seed=1)
     message = r"^2\^3 slot sets over 40 repeat-set rows exceed the budget$"
-    for budget in (10, 319):
+    for budget in ("10", "319"):
+        monkeypatch.setenv("ARITYGAP_BUDGET", budget)
         with pytest.raises(OracleInfeasibleError, match=message):
-            verify(spec, budget=budget)
-    assert verify(spec, budget=320).checked == 63
+            verify(spec)
+    monkeypatch.setenv("ARITYGAP_BUDGET", "320")
+    assert verify(spec).checked == 63
 
 
 def test_oracle_quasi_arity_agrees_sampled():
@@ -544,6 +546,20 @@ def test_gen_quasi_m_ary_contradictions():
         gen_quasi_m_ary(2, 2, 2, 2, seed=0)
     with pytest.raises(ValueError):
         gen_quasi_m_ary(3, 3, 2, 4, seed=0)
+
+
+def test_gen_quasi_m_ary_refuses_arity_one_up_front(monkeypatch):
+    # Every unary tuple is in the repeat set, so a unary function is its own
+    # only completion: below m = 1 no witness exists, and none is attempted.
+    monkeypatch.setattr(oracle, "gen_essentially_m_ary", lambda *args: pytest.fail("attempted"))
+    message = (
+        r"^arity 1 over a 3-element domain leaves no repeat-free tuples, "
+        r"so quasi-0-ary functions there depend on at most 0 slots$"
+    )
+    with pytest.raises(ValueError, match=message):
+        gen_quasi_m_ary(3, 1, 2, 0, seed=0)
+    monkeypatch.undo()
+    assert quasi_arity(gen_quasi_m_ary(3, 1, 2, 1, seed=0)) == 1
 
 
 def test_gen_essentially_m_ary():
@@ -701,20 +717,26 @@ def test_verify_jobs_do_not_change_output():
     assert verify(spec, jobs=1).checked == verify(spec, jobs=2).checked
 
 
-def test_verify_budget():
+def test_verify_budget(monkeypatch):
+    monkeypatch.setenv("ARITYGAP_BUDGET", "1000")
     with pytest.raises(OracleInfeasibleError):
-        verify(SweepSpec("T4.1", 3, 3, 3, "exhaustive"), budget=1000)
+        verify(SweepSpec("T4.1", 3, 3, 3, "exhaustive"))
 
 
-def test_function_count_against_the_budget():
-    assert function_count(2, 2, 2, budget=16) == 16
-    assert function_count(3, 2, 2, budget=512) == 512
+def test_function_count_against_the_budget(monkeypatch):
+    monkeypatch.setenv("ARITYGAP_BUDGET", "16")
+    assert function_count(2, 2, 2) == 16
+    monkeypatch.setenv("ARITYGAP_BUDGET", "512")
+    assert function_count(3, 2, 2) == 512
     # 3^4 = 81 > 80, decided by computing a count that stays small
+    monkeypatch.setenv("ARITYGAP_BUDGET", "80")
     with pytest.raises(OracleInfeasibleError, match="^81 tables exceed the budget 80$"):
-        function_count(2, 2, 3, budget=80)
+        function_count(2, 2, 3)
     # 2^4 > 10 once k^n = 4 reaches the bit length of 10: named, not computed
+    monkeypatch.setenv("ARITYGAP_BUDGET", "10")
     with pytest.raises(OracleInfeasibleError, match=r"^2\^4 tables exceed the budget 10$"):
-        function_count(2, 2, 2, budget=10)
+        function_count(2, 2, 2)
+    monkeypatch.delenv("ARITYGAP_BUDGET")
     with pytest.raises(OracleInfeasibleError, match=r"^2\^1048576 tables"):
         function_count(2, 20, 2)
     with pytest.raises(ValueError, match="codomain size"):
