@@ -1,4 +1,8 @@
+import argparse
+import dataclasses
+import itertools
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from aritygap import FiniteFunction, parse_stream
-from aritygap.cli import main
+from aritygap.cli import build_parser, main
+import cli_cases
+from cli_cases import BUDGET, CASES, GOLDEN, check
 
 XOR2_TEXT = "2 2 2\n0 1 1 0\n"
 AND2_TEXT = "2 2 2\n0 0 0 1\n"
@@ -895,79 +901,119 @@ def test_shell_pipeline_composes():
     assert analyzed.stdout == "ess=3 qa=0 essl=0 gap=3 pair=1,2\n"
 
 
-GOLDEN = Path(__file__).parent / "golden"
-ANALYZE_INPUTS = ("random", "parity", "padded", "quasi", "salomaa")
-MALFORMED_INPUTS = (
-    "bad-token",
-    "bad-value",
-    "short-table",
-    "bad-header",
-    "header-not-integer",
-    "incomplete-header",
-    "compact-comment",
-    "compact-bad-value",
-    "over-limit-header",
+def run_in_process(case, monkeypatch, capsys):
+    """The in-process executor of a cli_cases case: one (exit code, stdout,
+    stderr) for each stage, each stage reading the previous one's stdout."""
+    monkeypatch.delenv(BUDGET, raising=False)
+    if case.budget is not None:
+        monkeypatch.setenv(BUDGET, str(case.budget))
+    results, stdin_text = [], case.stdin_text()
+    for stage in case.stages:
+        results.append(run_cli(stage, stdin_text, monkeypatch, capsys))
+        stdin_text = results[-1][1]
+    return results
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
+def test_golden_transcript(case, monkeypatch, capsys):
+    assert check(case, run_in_process(case, monkeypatch, capsys)) == []
+
+
+def _leaf_commands(parser, path=()):
+    """Each command path, such as ("gen", "quasi"), with what its cases must
+    use: every long option but --help, --in and --out, and every value of an
+    option with a closed list of values."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _leaf_commands(sub, (*path, name))
+    if not subparsers:
+        uses = set()
+        for action in parser._actions:
+            for option in set(action.option_strings) - {"-h", "--help", "--in", "--out"}:
+                uses.add(option)
+                uses.update(f"{option} {choice}" for choice in action.choices or ())
+        yield path, uses
+
+
+def test_cases_cover_the_cli():
+    used = {}
+    for case in CASES:
+        for stage in case.stages:
+            path = tuple(itertools.takewhile(lambda word: not word.startswith("--"), stage))
+            words = used.setdefault(path, set())
+            for word, value in zip(stage, [*stage[1:], ""]):
+                if word.startswith("--"):
+                    words.update((word, f"{word} {value}"))
+    missing = [
+        (path, sorted(uses - used.get(path, set())))
+        for path, uses in _leaf_commands(build_parser())
+        if path not in used or not uses <= used[path]
+    ]
+    assert missing == []
+    assert {case.code for case in CASES} >= {0, 1, 2}
+    goldens = {GOLDEN / f"{name}.fn" for case in CASES for name in case.inputs}
+    goldens |= {v for case in CASES for v in (case.out, case.err) if isinstance(v, Path)}
+    assert set(GOLDEN.iterdir()) == goldens
+    assert len({case.name for case in CASES}) == len(CASES)
+
+
+def _doctored(name):
+    """A twin of the case `name` that expects one wrong stdout line."""
+    case = next(case for case in CASES if case.name == name)
+    return dataclasses.replace(case, name=f"{name}-doctored", out=case.out.replace("gap=3", "gap=2"))
+
+
+DOCTORED_PROBLEM = (
+    "gen-salomaa-analyze-doctored: stdout line 1: "
+    "got 'ess=3 qa=0 essl=0 gap=3 pair=1,2\\n', expected 'ess=3 qa=0 essl=0 gap=2 pair=1,2\\n'"
 )
-# One sampled sweep per registered theorem on a shape where its arity
-# hypothesis holds, and two where it fails (so checked is 0):
-# name -> (k, n, b, samples).
-VERIFY_SHAPES = {
-    "T3.5i": (3, 3, 2, 300),
-    "T3.5ii": (2, 2, 3, 300),
-    "SWIER": (3, 4, 3, 200),
-    "L3.4": (3, 3, 2, 300),
-    "P4.2": (2, 2, 3, 300),
-    "T4.1": (2, 3, 2, 300),
-    "T4.3": (4, 4, 2, 100),
-    "T4.4": (2, 3, 2, 300),
-    "T5.1": (2, 3, 3, 300),
-    "L5.2": (2, 4, 3, 300),
-    "T6.1": (4, 4, 2, 100),
-    "T6.4ii": (2, 2, 3, 300),
-    "T6.4iii": (2, 3, 2, 300),
-    "T4.1-arity": (3, 3, 2, 300),
-    "T6.4iii-arity": (3, 4, 2, 300),
-}
-# name -> (argv, input files fed to stdin in order, exit code); the expected
-# stdout is tests/golden/<name>.out, and for a nonzero exit code the expected
-# stderr is tests/golden/<name>.err and stdout is empty
-GOLDEN_CASES = {
-    **{f"analyze-{name}": (["analyze"], (name,), 0) for name in ANALYZE_INPUTS},
-    "classify-mixed": (["classify"], ANALYZE_INPUTS, 0),
-    "enumerate-gap2": (["enumerate", "--k", "2", "--n", "3", "--b", "2", "--filter", "gap=2"], (), 0),
-    "verify-T6.3": (
-        ["verify", "--theorem", "T6.3", "--k", "3", "--n", "5", "--b", "2",
-         "--samples", "200", "--seed", "7"],
-        (),
-        0,
-    ),
-    **{
-        f"verify-{name}": (
-            ["verify", "--theorem", name.split("-")[0], "--k", str(k), "--n", str(n),
-             "--b", str(b), "--samples", str(samples), "--seed", "3"],
-            (),
-            0,
-        )
-        for name, (k, n, b, samples) in VERIFY_SHAPES.items()
-    },
-    "minor-identify": (["minor", "--identify", "2,1"], ANALYZE_INPUTS, 0),
-    "minor-sigma": (["minor", "--sigma", "3,1,3", "--target-arity", "4"], ("ternary",), 0),
-    "minor-diagonal": (["minor", "--diagonal"], ANALYZE_INPUTS, 0),
-    "oddsupp-check": (["oddsupp-check"], ANALYZE_INPUTS, 0),
-    "oddsupp-check-restricted": (["oddsupp-check", "--restricted"], ANALYZE_INPUTS, 0),
-    "gen-salomaa": (["gen", "salomaa", "--k", "3"], (), 0),
-    "gen-quasi": (["gen", "quasi", "--k", "4", "--n", "4", "--b", "3", "--m", "2", "--seed", "5"], (), 0),
-    "gen-oddsupp": (["gen", "oddsupp", "--k", "3", "--n", "4", "--b", "2", "--seed", "1"], (), 0),
-    **{f"error-{name}": (["analyze"], (name,), 2) for name in MALFORMED_INPUTS},
-}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_golden_transcript(name, monkeypatch, capsys):
-    argv, inputs, code = GOLDEN_CASES[name]
-    stdin_text = "".join((GOLDEN / f"{i}.fn").read_text() for i in inputs)
-    got = run_cli(argv, stdin_text, monkeypatch, capsys)
-    if code == 0:
-        assert got == (0, (GOLDEN / f"{name}.out").read_text(), "")
-    else:
-        assert got == (code, "", (GOLDEN / f"{name}.err").read_text())
+def test_a_wrong_expected_line_fails_in_process(monkeypatch, capsys):
+    twin = _doctored("gen-salomaa-analyze")
+    assert check(twin, run_in_process(twin, monkeypatch, capsys)) == [DOCTORED_PROBLEM]
+
+
+@pytest.fixture
+def console_script(tmp_path, monkeypatch):
+    """An `aritygap` on PATH that runs `python -m aritygap` from this checkout."""
+    script = tmp_path / "aritygap"
+    script.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m aritygap "$@"\n')
+    script.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}")
+    return str(script)
+
+
+def test_runner_runs_cases_through_the_console_script(console_script, capsys):
+    assert shutil.which("aritygap") == console_script
+    cases = [c for c in CASES if c.name in ("gen-salomaa-analyze", "enumerate-over-budget")]
+    assert cli_cases.run_cases([*cases, _doctored("gen-salomaa-analyze")], console_script) == 1
+    assert capsys.readouterr().out == DOCTORED_PROBLEM + "\n"
+
+
+@pytest.mark.parametrize(
+    "cases, last_line",
+    [([], "cases=0 failures=0"), ([_doctored("gen-salomaa-analyze")], "cases=1 failures=1")],
+    ids=["no-case", "a-failure"],
+)
+def test_runner_fails_without_a_passing_case(cases, last_line, console_script, monkeypatch, capsys):
+    monkeypatch.setattr(cli_cases, "CASES", cases)
+    assert cli_cases.main([]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == last_line
+
+
+def test_runner_without_a_console_script(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert cli_cases.main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cli_cases: ") and err.count("\n") == 1
+
+
+def test_runner_reports_a_timeout_by_case_name(tmp_path, monkeypatch, capsys):
+    slow = tmp_path / "slow"
+    slow.write_text("#!/bin/sh\nexec sleep 5\n")
+    slow.chmod(0o755)
+    monkeypatch.setattr(cli_cases, "TIMEOUT", 0.2)
+    assert cli_cases.run_cases(CASES[:1], str(slow)) == 1
+    assert capsys.readouterr().out == f"{CASES[0].name}: timed out after 0.2 s\n"
