@@ -21,7 +21,9 @@ for failure records in verification reports).  ``render`` always emits the
 two-line form.  A stream is validated as a whole before any function is
 returned, so one bad token anywhere rejects all of it.  Tokens are read by
 ``int()``: ``+1``, ``1_0`` and non-ASCII decimal digits pass, ``²`` does not.
-A table of single ASCII digits is read in one pass.
+Text wholly in ``render``'s layout, ending in a newline, with every row of
+single digits below b, is read line by line as bytes; any other text takes
+the word path, which gives the same functions and locates every error.
 """
 
 from __future__ import annotations
@@ -144,11 +146,11 @@ class FiniteFunction:
       two values of a valid table over k = 2 as 0 and 1.
 
     ``_packed`` is the same table as ``bytes`` (entry j is byte j), which the
-    essential-slot scan and ``gap._section`` compare in C.  Only
-    ``parse_stream``'s one-pass read of single-ASCII-digit tables and
-    ``oracle.sampled_function`` at b <= 255 set it, where those bytes already
-    exist; everywhere else it is None.  It is left out of ``==``, ``hash``
-    and ``repr``, so a parsed function equals its constructed twin.
+    essential-slot scan and ``gap._section`` compare in C.  Only the line
+    path of ``parse_stream``, which reads text in ``render``'s layout as
+    bytes, and ``oracle.sampled_function`` at b <= 255 set it, where those
+    bytes already exist; everywhere else it is None.  It is left out of
+    ``==``, ``hash`` and ``repr``, so a parsed function equals its twin.
     """
 
     k: int
@@ -234,6 +236,28 @@ def parse_stream(text: str) -> list[FiniteFunction]:
     The whole text is checked before any function is returned.  An error
     names the line and column of the first offending token.
     """
+    # The line path, for render's layout: pairs of a header line of three
+    # ASCII numbers and a row of k^n digits below b at its even bytes (then
+    # size - 1 spaces fill the odd ones).  If one pair does not fit, the word
+    # path reads the whole text.
+    lines, fns = text.split("\n"), []
+    if lines.pop() == "" and len(lines) % 2 == 0:
+        for header, row in zip(lines[::2], lines[1::2]):
+            head = header.split()
+            if len(head) != 3 or not all(w.isascii() and w.isdigit() for w in head):
+                break
+            try:  # a header that int() or _check_shape refuses is located below
+                k, n, b = map(int, head)
+                size = _check_shape(k, n, b)
+            except ValueError:
+                break
+            raw = len(row) == 2 * size - 1 and row.isascii() and row.encode()
+            if not raw or raw[::2].translate(None, _DIGITS[:b]) or raw.count(b" ") != size - 1:
+                break
+            packed = raw[::2].translate(_DIGIT_VALUES)
+            fns.append(FiniteFunction._valid(k, n, b, tuple(packed), packed))
+        else:
+            return fns
     # ';' separates words as a newline does, so the compact one-line form
     # parses too; a '#' that starts a line or a ';'-part, after optional
     # spaces, ends that line.
@@ -272,27 +296,18 @@ def parse_stream(text: str) -> list[FiniteFunction]:
             raise error(str(exc), pos) from None
         lo = pos + 3
         chunk = words[lo : lo + size]
-        # Words that are each one ASCII digit below b are read in one bytes
-        # pass; isascii() goes first, as encode() fails on escaped raw bytes.
-        digits = "".join(chunk)
-        raw = len(digits) == len(chunk) and digits.isascii() and digits.encode()
-        packed = None
-        if raw and not raw.translate(None, _DIGITS[:b]):
-            packed = raw.translate(_DIGIT_VALUES)
-            values = tuple(packed)
-        else:
-            try:
-                values = tuple(map(int, chunk))
-            except ValueError:
-                values = None
-            if values is None or (values and (min(values) < 0 or max(values) >= b)):
-                for at in range(lo, lo + len(chunk)):
-                    v = integer(at, "table value")
-                    if not 0 <= v < b:
-                        raise error(f"value {v} not in 0..{b - 1}", at)
+        try:
+            values = tuple(map(int, chunk))
+        except ValueError:
+            values = None
+        if values is None or (values and (min(values) < 0 or max(values) >= b)):
+            for at in range(lo, lo + len(chunk)):
+                v = integer(at, "table value")
+                if not 0 <= v < b:
+                    raise error(f"value {v} not in 0..{b - 1}", at)
         if len(chunk) != size:
             raise error(f"expected {size} values, got {len(chunk)}", lo + len(chunk) - 1)
-        out.append(FiniteFunction._valid(k, n, b, values, packed))
+        out.append(FiniteFunction._valid(k, n, b, values))
         pos = lo + size
     return out
 

@@ -215,6 +215,7 @@ GOLDEN_CASES = [
 ]
 
 XOR2 = "ess=2 qa=0 essl=0 gap=2 pair=1,2\n"
+AND2 = "ess=2 qa=1 essl=1 gap=1 pair=1,2\n"
 PARITY14 = "ess=14 qa=14 essl=12 gap=2 pair=1,2\n"
 PARITY18_STAR = "determined=1 star_constant=0 star=0:0,3:1\n"
 T35I_2X4X2 = "theorem=T3.5i checked=65536 failures=0 seed=-\n"
@@ -237,6 +238,8 @@ PINS = [
          budget=320, out="theorem=L3.4 checked=63 failures=0 seed=1\n"),
     Case("gen-salomaa-analyze", "gen salomaa --k 3 | analyze",
          out="ess=3 qa=0 essl=0 gap=3 pair=1,2\n"),
+    Case("gen-salomaa-classify", "gen salomaa --k 3 | classify",
+         out="gap=3 tag=QuasiNullary m=0\n"),
     Case("minor-identify-xor3", "minor --identify 1,2", stdin="2 3 2\n0 1 1 0 1 0 0 1\n",
          out="2 3 2\n0 1 0 1 0 1 0 1\n"),
     Case("gen-oddsupp-check-restricted",
@@ -273,6 +276,15 @@ PINS = [
     Case("verify-T3.5i-2x4x2-exhaustive-jobs2",
          "verify --theorem T3.5i --k 2 --n 4 --b 2 --exhaustive --jobs 2", out=T35I_2X4X2),
     Case("verify-T6.3-jobs2", f"{T63} --jobs 2", out=GOLDEN / "verify-T6.3.out"),
+    # Rendered input just off the layout parse_stream reads line by line:
+    # each takes the word path, with the same result.
+    Case("analyze-rendered-then-compact", "analyze", stdin="2 2 2\n0 1 1 0\n2 2 2;0 0 0 1\n",
+         out=XOR2 + AND2),
+    Case("analyze-no-final-newline", "analyze", stdin="2 2 2\n0 1 1 0", out=XOR2),
+    Case("analyze-crlf", "analyze", stdin="2 2 2\r\n0 1 1 0\r\n", out=XOR2),
+    Case("analyze-codomain-11-stream", "analyze", stdin="2 2 11\n10 0 0 10\n2 2 11\n0 0 0 1\n",
+         out=XOR2 + AND2),
+    Case("analyze-two-spaces", "analyze", stdin="2 2 2\n0 1  1 0\n", out=XOR2),
     Case("classify-boolean", "classify --boolean",
          stdin="2 2 2\n0 1 1 0\n2 3 2\n0 0 0 1 0 1 1 1\n2 3 2\n0 1 1 0 1 0 0 1\n",
          out="gap=2 tag=QuasiNMinus2 m=0 family=linear c=0 perm=1,2\n"

@@ -1,8 +1,9 @@
 """A parsed table keeps its bytes beside the tuple; both forms give the same
 answers in every layer.
 
-`parse_stream` reads a table of single ASCII digits in one bytes pass and
-keeps those bytes as `FiniteFunction._packed`; the essential-slot scan and the
+`parse_stream` reads text in `render`'s layout (a header line, then one row of
+single digits below b, one space apart) line by line as bytes, and keeps each
+row's values as `FiniteFunction._packed`; the essential-slot scan and the
 section builder then compare bytes instead of tuples of ints.  Each example
 is a parsed (packed) function and its constructed (tuple) twin, run through
 the same layers; essential slots are also checked against a scan of every

@@ -206,6 +206,53 @@ def test_boundary_check_fails_a_fast_path_one_digit_too_wide():
         check_boundary_words(scope["parse_stream"])
 
 
+@st.composite
+def edited_renders(draw):
+    # render's output for one or two functions, the layout parse_stream's
+    # line path reads, with one character inserted, replaced or deleted.  At
+    # b = 11 and 12 a row may hold two-digit values, which the path refuses.
+    text = ""
+    for _ in range(draw(st.integers(1, 2))):
+        k, b = draw(st.integers(2, 3)), draw(st.integers(2, 12))
+        n = draw(st.integers(1, 4 if k == 2 else 3))
+        table = draw(st.lists(st.integers(0, b - 1), min_size=k**n, max_size=k**n))
+        text += render(FiniteFunction(k, n, b, tuple(table)))
+    at = draw(st.integers(0, len(text) - 1))
+    edit = draw(st.sampled_from(("insert", "replace", "delete")))
+    c = draw(st.sampled_from(ALPHABET))
+    return text[:at] + (c if edit != "delete" else "") + text[at + (edit != "insert") :]
+
+
+def check_edited_renders(parser):
+    @settings(FUZZ, max_examples=300)
+    @given(edited_renders())
+    def check(text):
+        got = outcome(parser, text)
+        assert got == outcome(reference_parse_stream, text)
+        if got[0] == "ok":
+            assert all(f._packed in (None, bytes(f.table)) for f in got[1])
+
+    check()
+
+
+def test_parse_matches_reference_on_edited_renders():
+    check_edited_renders(parse_stream)
+
+
+SEPARATOR_CHECK = ' or raw.count(b" ") != size - 1'
+
+
+def test_edited_renders_fail_a_line_path_without_its_separator_check():
+    # A twin of parse_stream whose line path does not check that the row's
+    # odd bytes are spaces.
+    source = inspect.getsource(core.parse_stream)
+    assert source.count(SEPARATOR_CHECK) == 1
+    scope = dict(vars(core))
+    exec(source.replace(SEPARATOR_CHECK, ""), scope)
+    with pytest.raises(AssertionError):
+        check_edited_renders(scope["parse_stream"])
+
+
 @pytest.mark.parametrize(
     "k, n, b, values",
     [
