@@ -104,7 +104,7 @@ def _essential_ids(k: int, n: int, table: Sequence[int], on_repeat=False) -> tup
 
 def _with_witnesses(f: FiniteFunction, on_repeat: bool) -> dict[int, EssentialityWitness]:
     # Walks the index pairs in order only for the slots found essential.
-    k, n, table = f.k, f.n, f.table
+    k, n, table = f.k, f.n, f._packed or f.table
     flags = _repeat_flags(k, n) if on_repeat else b"\x01" * f.size
     found = {}
     for slot in _essential_ids(k, n, table, on_repeat):
@@ -134,7 +134,7 @@ def essential_slots_on_diagonal(f: FiniteFunction) -> dict[int, EssentialityWitn
 
 
 def essential_arity(f: FiniteFunction) -> int:
-    return len(_essential_ids(f.k, f.n, f.table))
+    return len(_essential_ids(f.k, f.n, f._packed or f.table))
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def support_extension(f: FiniteFunction) -> SupportExtension:
     """
     if f.n == 2:
         raise UnsupportedArityError("no support extension for binary functions")
-    ids = _essential_ids(f.k, f.n, f.table, on_repeat=True)
+    ids = _essential_ids(f.k, f.n, f._packed or f.table, on_repeat=True)
     return SupportExtension(_on_slots(f, ids), ids, not ids)
 
 

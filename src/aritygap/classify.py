@@ -8,6 +8,7 @@ from functools import lru_cache
 
 from .core import (
     FiniteFunction,
+    _LazyTable,
     GapUndefinedError,
     UnsupportedDomainError,
     all_tuples,
@@ -52,13 +53,13 @@ class AnfPolynomial:
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _anf_bits(n: int, table: tuple[int, ...]) -> int:
+def _anf_bits(n: int, table: bytes | tuple[int, ...]) -> int:
     # The ANF coefficients of a 0/1 table as the bits of one int: bit j is
     # the coefficient of the monomial whose slots are n - p for the set bits
     # p of j (bit 0 is the constant).  Packs the table (entry j at bit j),
     # then runs the subset-lattice Moebius transform one bit position at a
     # time: every j with bit p set takes the XOR of j - 2^p.
-    x = int(bytes(reversed(table)).translate(_DIGITS), 2)
+    x = int(bytes(table[::-1]).translate(_DIGITS), 2)
     for w, low in _moebius_masks(n):
         x ^= (x & low) << w
     return x
@@ -79,7 +80,7 @@ def anf(f: FiniteFunction) -> AnfPolynomial:
     Moebius transform)."""
     if f.k != 2 or f.b != 2:
         raise UnsupportedDomainError(f"ANF needs k = b = 2, got k={f.k}, b={f.b}")
-    x = _anf_bits(f.n, f.table)
+    x = _anf_bits(f.n, f._packed or f.table)
     coef = f"{x:0{1 << f.n}b}"[::-1]
     monos = [
         # bit position p of the index corresponds to slot n - p
@@ -135,7 +136,8 @@ def ternary_pattern(f: FiniteFunction) -> tuple[tuple[int, int, int], FiniteFunc
     """
     if f.n != 3:
         raise ValueError(f"pattern test needs arity 3, got {f.n}")
-    if len(_essential_ids(f.k, f.n, f.table)) != 3:
+    table = f._packed or f.table
+    if len(_essential_ids(f.k, f.n, table)) != 3:
         raise ValueError("pattern test needs all three slots essential")
     h = diagonal(f)
     if h.is_constant():
@@ -148,7 +150,7 @@ def ternary_pattern(f: FiniteFunction) -> tuple[tuple[int, int, int], FiniteFunc
     pattern = []
     for stride in (k * k, k, 1):
         values = tuple(
-            f.table[x0 * step + (x1 - x0) * stride] for x0 in range(k) for x1 in range(k)
+            table[x0 * step + (x1 - x0) * stride] for x0 in range(k) for x1 in range(k)
         )
         # h nonconstant makes the fit unique
         if values == by_x0:
@@ -240,7 +242,7 @@ def _classify_two_valued(
 ) -> Classification:
     # The classification of the essential part g of a function, with slot
     # map slots, from its 0/1 relabelling h (h is g for a Boolean input).
-    x = _anf_bits(h.n, h.table)
+    x = _anf_bits(h.n, h._packed or h.table)
     match = _match_family(x & ~1, len(slots))
     if match is None:
         return Classification(gap=1, tag=TAG_GAP_ONE, decomposition=decomposition)
@@ -285,13 +287,18 @@ def classify_pseudo_boolean(f: FiniteFunction) -> Classification:
     if f.k != 2:
         raise UnsupportedDomainError(f"pseudo-Boolean classifier needs k = 2, got k={f.k}")
     g, slots = _essential_part(f)
-    values = set(g.table)
+    table = g._packed or g.table
+    values = set(table)
     if len(values) == 2:
-        v0 = g.table[0]
+        v0 = table[0]
         v1 = (values - {v0}).pop()
-        table = g.table if (v0, v1) == (0, 1) else tuple(0 if v == v0 else 1 for v in g.table)
-        h = FiniteFunction._valid(2, g.n, 2, table)
+        if g._packed:
+            relabel = bytes.maketrans(bytes((v0, v1)), b"\x00\x01")
+            h = _LazyTable._valid(2, g.n, 2, None, g._packed.translate(relabel))
+        else:
+            table = table if (v0, v1) == (0, 1) else tuple(0 if v == v0 else 1 for v in table)
+            h = FiniteFunction._valid(2, g.n, 2, table)
         return _classify_two_valued(g, slots, h, ((v0, v1), h))
-    if g.n == 2 and g.table[0] == g.table[3]:
+    if g.n == 2 and table[0] == table[3]:
         return Classification(gap=2, tag=TAG_QUASI_N_MINUS_2, m=0)
     return Classification(gap=1, tag=TAG_GAP_ONE)

@@ -22,14 +22,16 @@ two-line form.  A stream is validated as a whole before any function is
 returned, so one bad token anywhere rejects all of it.  Tokens are read by
 ``int()``: ``+1``, ``1_0`` and non-ASCII decimal digits pass, ``²`` does not.
 Text wholly in ``render``'s layout, ending in a newline, with every row of
-single digits below b, is read line by line as bytes; any other text takes
-the word path, which gives the same functions and locates every error.
+single digits below b, is read line by line as bytes, kept until ``table``
+is first read; any other text takes the word path, which gives the same
+functions and locates every error.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from copy import copy
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -38,6 +40,7 @@ MAX_TABLE_ENTRIES = 10**8
 
 _DIGITS = b"0123456789"
 _DIGIT_VALUES = bytes.maketrans(_DIGITS, bytes(range(10)))
+_VALUE_DIGITS = bytes.maketrans(bytes(range(10)), _DIGITS)
 
 
 class ArityGapError(Exception):
@@ -143,14 +146,18 @@ class FiniteFunction:
       ``getrandbits`` words, kept below b as ``randrange(b)`` draws them;
       all three size their tables by ``_check_shape(k, n, b)`` first;
     - ``classify.classify_pseudo_boolean``, whose table ``h`` relabels the
-      two values of a valid table over k = 2 as 0 and 1.
+      two values of a valid table over k = 2 as 0 and 1 (in bytes if packed).
 
     ``_packed`` is the same table as ``bytes`` (entry j is byte j), which the
     essential-slot scan and ``gap._section`` compare in C.  Only the line
     path of ``parse_stream``, which reads text in ``render``'s layout as
-    bytes, and ``oracle.sampled_function`` at b <= 255 set it, where those
-    bytes already exist; everywhere else it is None.  It is left out of
-    ``==``, ``hash`` and ``repr``, so a parsed function equals its twin.
+    bytes, ``oracle.sampled_function`` at b <= 255 and the relabel of a packed
+    table set it, where those bytes exist; everywhere else it is None.  It is
+    left out of ``==``, ``hash`` and ``repr``, so a parsed function equals its
+    twin.  The line path and that relabel make a private subclass that builds
+    ``table`` from ``_packed`` on first read.  Threads racing on that read
+    build equal tuples, so it is safe to share too; it compares, hashes and
+    prints as a plain function, and pickles and copies to one.
     """
 
     k: int
@@ -211,6 +218,30 @@ class FiniteFunction:
 _set_k, _set_n, _set_b, _set_table, _set_packed = (
     vars(FiniteFunction)[name].__set__ for name in ("k", "n", "b", "table", "_packed")
 )
+_get_table = vars(FiniteFunction)["table"].__get__
+
+
+class _LazyTable(FiniteFunction):
+    # _valid(k, n, b, None, packed): the slot holds None until a read of table
+    # stores tuple(_packed) there.  replace() sets it through the property.
+    __slots__ = ()
+
+    def _built(self) -> tuple[int, ...]:
+        if (table := _get_table(self)) is None:
+            _set_table(self, table := tuple(self._packed))
+        return table
+
+    table = property(_built, _set_table)
+    __hash__ = FiniteFunction.__hash__
+
+    def __reduce__(self):  # pickle and copy() give a plain one, as == and repr do
+        return FiniteFunction._valid, (self.k, self.n, self.b, self.table, self._packed)
+
+    def __eq__(self, other):
+        return copy(self) == other if isinstance(other, FiniteFunction) else NotImplemented
+
+    def __repr__(self):
+        return repr(copy(self))
 
 
 def constant(k: int, n: int, b: int, value: int) -> FiniteFunction:
@@ -255,7 +286,7 @@ def parse_stream(text: str) -> list[FiniteFunction]:
             if not raw or raw[::2].translate(None, _DIGITS[:b]) or raw.count(b" ") != size - 1:
                 break
             packed = raw[::2].translate(_DIGIT_VALUES)
-            fns.append(FiniteFunction._valid(k, n, b, tuple(packed), packed))
+            fns.append(_LazyTable._valid(k, n, b, None, packed))
         else:
             return fns
     # ';' separates words as a newline does, so the compact one-line form
@@ -321,7 +352,12 @@ def parse(text: str) -> FiniteFunction:
 
 
 def render(f: FiniteFunction) -> str:
-    return f"{f.k} {f.n} {f.b}\n" + " ".join(str(v) for v in f.table) + "\n"
+    if f.b > 10:
+        return f"{f.k} {f.n} {f.b}\n" + " ".join(str(v) for v in f.table) + "\n"
+    row = bytearray(b" ") * (2 * f.size)  # digits at the even bytes, then "\n"
+    row[::2] = (f._packed or bytes(f.table)).translate(_VALUE_DIGITS)
+    row[-1] = 10
+    return f"{f.k} {f.n} {f.b}\n" + row.decode()
 
 
 def render_line(f: FiniteFunction) -> str:

@@ -73,7 +73,7 @@ def quasi_arity(f: FiniteFunction) -> int:
     """
     if f.n == 2:
         return 0 if diagonal(f).is_constant() else 1
-    return len(_essential_ids(f.k, f.n, f.table, on_repeat=True))
+    return len(_essential_ids(f.k, f.n, f._packed or f.table, on_repeat=True))
 
 
 def is_semiprojection(f: FiniteFunction) -> int | None:
@@ -111,7 +111,7 @@ def unique_unary_support(f: FiniteFunction) -> UnarySupport:
     n-ary constant f(0,...,0) and no slot; quasi-arity 1 gives a -> f(a,...,a)
     read at the one slot essential on the repeat set, ambiguous (one support
     per slot) exactly when n = 2.  Raises NoSuchSupportError from quasi-arity 2."""
-    ids = _essential_ids(f.k, f.n, f.table, on_repeat=True)
+    ids = _essential_ids(f.k, f.n, f._packed or f.table, on_repeat=True)
     if len(ids) >= 2:
         raise NoSuchSupportError(f"quasi-arity is {len(ids)}, no essentially unary support")
     d = diagonal(f)

@@ -72,7 +72,8 @@ def _substitute(g: FiniteFunction, n: int, sigma: tuple[int, ...]) -> FiniteFunc
     # A minor no wider than g fits the table limit because g does.
     if n > g.n:
         _check_shape(g.k, n, g.b)
-    return FiniteFunction._valid(g.k, n, g.b, _sigma_gather(g.k, g.n, n, sigma)(g.table))
+    gather = _sigma_gather(g.k, g.n, n, sigma)
+    return FiniteFunction._valid(g.k, n, g.b, gather(g._packed or g.table))
 
 
 def simple_minor(g: FiniteFunction, sigma: MinorMap) -> FiniteFunction:
@@ -106,4 +107,4 @@ def partition_minor(f: FiniteFunction, delta: VariablePartition) -> FiniteFuncti
 def diagonal(f: FiniteFunction) -> FiniteFunction:
     """The unary function a -> f(a, ..., a)."""
     step = (f.k**f.n - 1) // (f.k - 1)  # index of (a,...,a) is a * step
-    return FiniteFunction._valid(f.k, 1, f.b, tuple(f.table[a * step] for a in range(f.k)))
+    return FiniteFunction._valid(f.k, 1, f.b, tuple((f._packed or f.table)[::step]))

@@ -78,7 +78,7 @@ def _fiber_profile(f: FiniteFunction, restricted: bool) -> OddsuppProfile:
     # values has the least first member among such fibers, and the first of
     # its entries with another value is the witness's second tuple.
     gather, order, spans = _fibers(f.k, f.n, restricted)
-    vals = gather(f.table)
+    vals = gather(f._packed or f.table)
     star: dict[int, int] = {}
     for mask, lo, hi in spans:
         v = vals[lo]

@@ -856,6 +856,70 @@ def test_analyze_of_a_rendered_2x22_table_stays_under_100_mib(tmp_path):
     assert peak <= 100 << 20
 
 
+MAXRSS = (  # the peak resident set in bytes: ru_maxrss is in KiB on Linux
+    "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss"
+    " * (1 if sys.platform == 'darwin' else 1024)"
+)
+
+
+def run_fresh(script, *args):
+    # The stdout lines of script run in an interpreter started from a small
+    # launcher, so that its ru_maxrss, which carries over exec, is its own.
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    done = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.stderr == ""
+    return done.stdout.splitlines()
+
+
+def test_analyze_of_a_rendered_2x22_table_stays_under_64_mib(tmp_path):
+    # The parsed table stays bytes: analyze builds no tuple of its 4.2M
+    # entries, and the fresh interpreter peaks near 49 MiB (81 MiB when the
+    # parser built it).
+    path = tmp_path / "e22.fn"
+    write = (
+        "import sys\n"
+        "from aritygap import render\n"
+        "from aritygap.oracle import gen_essentially_m_ary\n"
+        "open(sys.argv[1], 'w').write(render(gen_essentially_m_ary(2, 22, 2, 3, 1)))\n"
+    )
+    subprocess.run([sys.executable, "-c", write, str(path)], check=True, timeout=120)
+    script = (
+        "import resource, sys\n"
+        "from aritygap.cli import main\n"
+        "code = main(['analyze', '--in', sys.argv[1]])\n"
+        f"print(code, {MAXRSS})\n"
+    )
+    result, status = run_fresh(script, str(path))
+    assert result == "ess=3 qa=3 essl=2 gap=1 pair=3,5"
+    code, peak = map(int, status.split())
+    assert code == 0
+    assert peak <= 64 << 20
+
+
+def test_render_of_a_2x22_table_stays_small():
+    # render, which gen, minor and enumerate write through, fills one row of
+    # bytes: the (2,22,2) table's 8.4 MB of text grows the peak by at most
+    # 32 MiB, where one str per entry grew it by about 265 MiB.
+    script = (
+        "import resource, sys\n"
+        "from aritygap import render\n"
+        "from aritygap.oracle import gen_essentially_m_ary\n"
+        "f = gen_essentially_m_ary(2, 22, 2, 3, 1)\n"
+        f"before = {MAXRSS}\n"
+        "text = render(f)\n"
+        f"print(len(text), {MAXRSS} - before)\n"
+    )
+    [status] = run_fresh(script)
+    size, grown = map(int, status.split())
+    assert size == 2 * 2**22 + 7
+    assert grown <= 32 << 20
+
+
 def test_constant_table_scan_stays_small():
     # Deciding that no slot of a constant (2,20) table is essential must not
     # hold a structure per index pair: that needs more than 1 GiB.

@@ -10,28 +10,47 @@ the same layers; essential slots are also checked against a scan of every
 fiber of every slot.  Tables of 4,096 entries and more may differ in one
 entry of the last slice of a slot's run, the only place that makes the slot
 essential.  Runs are derandomized, so the suite stays deterministic.
+
+A parsed table's tuple is built only when something reads `table`: each
+public layer gets a fresh parse and must leave the `table` slot unbuilt.
 """
 
+import copy
 import inspect
 import itertools
 import pickle
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from aritygap import (
+    ArityGapError,
     FiniteFunction,
     GapUndefinedError,
+    anf,
     arity_gap,
     classify,
+    classify_boolean,
+    classify_pseudo_boolean,
+    diagonal,
+    essential_arity,
+    essential_slots,
+    function_by_id,
     gen_salomaa,
+    is_determined_by_oddsupp,
+    is_restriction_determined_by_oddsupp,
     oracle_gap,
     parse,
     quasi_arity,
     render,
     restrict_to_essential,
+    support_extension,
+    ternary_pattern,
+    unique_unary_support,
 )
-from aritygap import analysis
+from aritygap import analysis, gap, minors
+from aritygap.oracle import functions_in_order, sampled_function
 from aritygap.analysis import _essential_ids
 from aritygap.gap import _pair_scan, _section
 
@@ -183,3 +202,107 @@ def test_pair_scan_agrees_with_arity_gap_and_oracle_gap(t):
         _, slots, essl, pair = _pair_scan(f)
         assert (slots, essl, pair) == (r.essential, r.essl, r.pair)
         assert len(slots) - essl == oracle_gap(f)
+
+
+TABLE_SLOT = vars(FiniteFunction)["table"]  # the slot itself, past any property
+LAYERS = (
+    arity_gap,
+    classify,
+    is_determined_by_oddsupp,
+    is_restriction_determined_by_oddsupp,
+    classify_boolean,
+    classify_pseudo_boolean,
+    quasi_arity,
+    essential_arity,
+    essential_slots,
+    restrict_to_essential,
+    unique_unary_support,
+    support_extension,
+    ternary_pattern,
+    diagonal,
+    anf,
+    render,
+)
+
+
+def unbuilt(f):
+    return TABLE_SLOT.__get__(f) is None
+
+
+def answer(layer, f):
+    try:
+        return layer(f)
+    except (ArityGapError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def check_unbuilt(t):
+    # Each layer runs on a fresh parse of t, which it must leave unbuilt, and
+    # then answers as on t.
+    text = render(t)
+    for layer in LAYERS:
+        p = parse(text)
+        assert unbuilt(p)
+        got = answer(layer, p)
+        assert unbuilt(p), layer.__name__
+        assert got == answer(layer, t), layer.__name__
+
+
+@EXAMPLES
+@given(tables(SCAN))
+@example(FiniteFunction(2, 3, 3, (2, 0, 0, 2, 0, 2, 2, 0)))  # the pseudo-Boolean relabel
+@example(gen_salomaa(3))  # a ternary pattern
+def test_parsed_tables_stay_unbuilt_through_every_layer(t):
+    check_unbuilt(t)
+
+
+def test_unbuilt_check_fails_a_substitute_that_reads_the_table(monkeypatch):
+    # A twin of minors._substitute that gathers from the tuple.
+    source = inspect.getsource(minors._substitute)
+    assert source.count("g._packed or g.table") == 1
+    scope = dict(vars(minors))
+    exec(source.replace("g._packed or g.table", "g.table"), scope)
+    for module in (minors, analysis, gap):
+        monkeypatch.setattr(module, "_substitute", scope["_substitute"])
+
+    @settings(EXAMPLES, phases=[Phase.generate])
+    @given(tables(SCAN))
+    def check(t):
+        check_unbuilt(t)
+
+    with pytest.raises(AssertionError):
+        check()
+
+
+@EXAMPLES
+@given(tables(SMALL))
+def test_unbuilt_tables_compare_hash_print_and_copy_as_constructed(t):
+    text = render(t)
+    assert parse(text) == t and t == parse(text)
+    assert not parse(text) != t and not t != parse(text)
+    other = FiniteFunction(t.k, t.n, t.b, ((t.table[0] + 1) % t.b, *t.table[1:]))
+    assert parse(text) != other and other != parse(text) and parse(text) != text
+    assert hash(parse(text)) == hash(t) and repr(parse(text)) == repr(t)
+    assert {t: 1}[parse(text)] == 1 and {parse(text): 1}[t] == 1
+    loaded = pickle.loads(pickle.dumps(parse(text)))
+    assert type(loaded) is FiniteFunction and loaded == t
+    assert loaded._packed == bytes(t.table)
+    for clone in (copy.copy(parse(text)), copy.deepcopy(parse(text))):
+        assert type(clone) is FiniteFunction and clone == t
+    assert replace(parse(text), b=t.b + 1) == replace(t, b=t.b + 1)
+    assert asdict(parse(text)) == {**asdict(t), "_packed": bytes(t.table)}
+
+
+def test_only_the_line_path_makes_unbuilt_tables():
+    assert {"__getattr__", "__getattribute__"}.isdisjoint(vars(FiniteFunction))
+    assert type(TABLE_SLOT) is not property
+    made = (
+        FiniteFunction(2, 2, 2, (0, 1, 1, 0)),
+        FiniteFunction._valid(2, 2, 2, (0, 1, 1, 0)),
+        function_by_id(2, 2, 2, 6),
+        next(functions_in_order(2, 2, 2, 6, 7)),
+        sampled_function(2, 3, 2, 0, 5),
+        parse("2 2 2;0 1 1 0"),
+    )
+    assert all(type(f) is FiniteFunction for f in made)
+    assert unbuilt(parse("2 2 2\n0 1 1 0\n"))

@@ -253,6 +253,17 @@ def test_edited_renders_fail_a_line_path_without_its_separator_check():
         check_edited_renders(scope["parse_stream"])
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 4), st.integers(2, 12), st.data())
+def test_render_is_the_join_of_the_values(k, n, b, data):
+    # Up to b = 10 render writes digits into a row of spaces, from the
+    # parsed bytes where they exist; above, it joins the values.
+    table = data.draw(st.lists(st.integers(0, b - 1), min_size=k**n, max_size=k**n))
+    joined = f"{k} {n} {b}\n" + " ".join(str(v) for v in table) + "\n"
+    assert render(FiniteFunction(k, n, b, tuple(table))) == joined
+    assert render(parse(joined)) == joined
+
+
 @pytest.mark.parametrize(
     "k, n, b, values",
     [
