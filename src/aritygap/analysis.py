@@ -13,6 +13,7 @@ from .core import (
     UnsupportedArityError,
     all_tuples,
     index_to_tuple,
+    _values,
 )
 from .minors import _substitute
 
@@ -104,7 +105,7 @@ def _essential_ids(k: int, n: int, table: Sequence[int], on_repeat=False) -> tup
 
 def _with_witnesses(f: FiniteFunction, on_repeat: bool) -> dict[int, EssentialityWitness]:
     # Walks the index pairs in order only for the slots found essential.
-    k, n, table = f.k, f.n, f._packed or f.table
+    k, n, table = f.k, f.n, _values(f)
     flags = _repeat_flags(k, n) if on_repeat else b"\x01" * f.size
     found = {}
     for slot in _essential_ids(k, n, table, on_repeat):
@@ -134,7 +135,7 @@ def essential_slots_on_diagonal(f: FiniteFunction) -> dict[int, EssentialityWitn
 
 
 def essential_arity(f: FiniteFunction) -> int:
-    return len(_essential_ids(f.k, f.n, f._packed or f.table))
+    return len(_essential_ids(f.k, f.n, _values(f)))
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ def restrict_to_essential(f: FiniteFunction) -> tuple[FiniteFunction, tuple[int,
     essential.  With no essential slot at all every slot is fed from one,
     which gives the unary constant f(0,...,0).
     """
-    ids = _essential_ids(f.k, f.n, f._packed or f.table)
+    ids = _essential_ids(f.k, f.n, _values(f))
     return (f if len(ids) == f.n else _on_slots(f, ids)), ids
 
 
@@ -207,14 +208,14 @@ def support_extension(f: FiniteFunction) -> SupportExtension:
     """
     if f.n == 2:
         raise UnsupportedArityError("no support extension for binary functions")
-    ids = _essential_ids(f.k, f.n, f._packed or f.table, on_repeat=True)
+    ids = _essential_ids(f.k, f.n, _values(f), on_repeat=True)
     return SupportExtension(_on_slots(f, ids), ids, not ids)
 
 
 def is_restriction_totally_symmetric(f: FiniteFunction) -> bool:
     """True iff f's value on the repeat set depends only on the argument multiset."""
     seen: dict[tuple[int, ...], int] = {}
-    for t, v in _repeat_set(f.k, f.n, zip(all_tuples(f.k, f.n), f.table)):
+    for t, v in _repeat_set(f.k, f.n, zip(all_tuples(f.k, f.n), _values(f))):
         if seen.setdefault(tuple(sorted(t)), v) != v:
             return False
     return True

@@ -8,10 +8,10 @@ from functools import lru_cache
 
 from .core import (
     FiniteFunction,
-    _LazyTable,
     GapUndefinedError,
     UnsupportedDomainError,
     all_tuples,
+    _values,
 )
 from .analysis import _essential_ids, restrict_to_essential
 from .gap import quasi_arity
@@ -80,7 +80,7 @@ def anf(f: FiniteFunction) -> AnfPolynomial:
     Moebius transform)."""
     if f.k != 2 or f.b != 2:
         raise UnsupportedDomainError(f"ANF needs k = b = 2, got k={f.k}, b={f.b}")
-    x = _anf_bits(f.n, f._packed or f.table)
+    x = _anf_bits(f.n, _values(f))
     coef = f"{x:0{1 << f.n}b}"[::-1]
     monos = [
         # bit position p of the index corresponds to slot n - p
@@ -136,7 +136,7 @@ def ternary_pattern(f: FiniteFunction) -> tuple[tuple[int, int, int], FiniteFunc
     """
     if f.n != 3:
         raise ValueError(f"pattern test needs arity 3, got {f.n}")
-    table = f._packed or f.table
+    table = _values(f)
     if len(_essential_ids(f.k, f.n, table)) != 3:
         raise ValueError("pattern test needs all three slots essential")
     h = diagonal(f)
@@ -242,7 +242,7 @@ def _classify_two_valued(
 ) -> Classification:
     # The classification of the essential part g of a function, with slot
     # map slots, from its 0/1 relabelling h (h is g for a Boolean input).
-    x = _anf_bits(h.n, h._packed or h.table)
+    x = _anf_bits(h.n, _values(h))
     match = _match_family(x & ~1, len(slots))
     if match is None:
         return Classification(gap=1, tag=TAG_GAP_ONE, decomposition=decomposition)
@@ -287,17 +287,12 @@ def classify_pseudo_boolean(f: FiniteFunction) -> Classification:
     if f.k != 2:
         raise UnsupportedDomainError(f"pseudo-Boolean classifier needs k = 2, got k={f.k}")
     g, slots = _essential_part(f)
-    table = g._packed or g.table
+    table = _values(g)
     values = set(table)
     if len(values) == 2:
         v0 = table[0]
         v1 = (values - {v0}).pop()
-        if g._packed:
-            relabel = bytes.maketrans(bytes((v0, v1)), b"\x00\x01")
-            h = _LazyTable._valid(2, g.n, 2, None, g._packed.translate(relabel))
-        else:
-            table = table if (v0, v1) == (0, 1) else tuple(0 if v == v0 else 1 for v in table)
-            h = FiniteFunction._valid(2, g.n, 2, table)
+        h = FiniteFunction._valid(2, g.n, 2, tuple(0 if v == v0 else 1 for v in table))
         return _classify_two_valued(g, slots, h, ((v0, v1), h))
     if g.n == 2 and table[0] == table[3]:
         return Classification(gap=2, tag=TAG_QUASI_N_MINUS_2, m=0)

@@ -146,18 +146,19 @@ class FiniteFunction:
       ``getrandbits`` words, kept below b as ``randrange(b)`` draws them;
       all three size their tables by ``_check_shape(k, n, b)`` first;
     - ``classify.classify_pseudo_boolean``, whose table ``h`` relabels the
-      two values of a valid table over k = 2 as 0 and 1 (in bytes if packed).
+      two values of a valid table over k = 2 as 0 and 1.
 
     ``_packed`` is the same table as ``bytes`` (entry j is byte j), which the
     essential-slot scan and ``gap._section`` compare in C.  Only the line
     path of ``parse_stream``, which reads text in ``render``'s layout as
-    bytes, ``oracle.sampled_function`` at b <= 255 and the relabel of a packed
-    table set it, where those bytes exist; everywhere else it is None.  It is
-    left out of ``==``, ``hash`` and ``repr``, so a parsed function equals its
-    twin.  The line path and that relabel make a private subclass that builds
-    ``table`` from ``_packed`` on first read.  Threads racing on that read
-    build equal tuples, so it is safe to share too; it compares, hashes and
-    prints as a plain function, and pickles and copies to one.
+    bytes, and ``oracle.sampled_function`` at b <= 255 set it, where those
+    bytes already exist; everywhere else it is None.  It is left out of
+    ``==``, ``hash`` and ``repr``, so a parsed function equals its twin.
+    The line path's instances are of a private subclass that builds
+    ``table`` from ``_packed`` on first read, so readers take ``_values(f)``,
+    which is ``_packed`` where set.  Threads racing on that read build equal
+    tuples, so these are safe to share too; they compare, hash and print as
+    plain functions, and pickle and copy to one.
     """
 
     k: int
@@ -201,7 +202,7 @@ class FiniteFunction:
         for pos, a in enumerate(t):
             if not 0 <= a < self.k:
                 raise ValueError(f"argument {a!r} at slot {pos + 1} not in 0..{self.k - 1}")
-        return self.table[tuple_to_index(self.k, t)]
+        return _values(self)[tuple_to_index(self.k, t)]
 
     def __call__(self, *args: int) -> int:
         return self.eval(args)
@@ -210,8 +211,8 @@ class FiniteFunction:
         return all_tuples(self.k, self.n)
 
     def is_constant(self) -> bool:
-        first = self.table[0]
-        return all(v == first for v in self.table)
+        values = _values(self)
+        return values.count(values[0]) == len(values)
 
 
 # The slots' own setters, which _valid calls past the frozen __setattr__.
@@ -219,6 +220,10 @@ _set_k, _set_n, _set_b, _set_table, _set_packed = (
     vars(FiniteFunction)[name].__set__ for name in ("k", "n", "b", "table", "_packed")
 )
 _get_table = vars(FiniteFunction)["table"].__get__
+
+
+def _values(f: FiniteFunction) -> bytes | tuple[int, ...]:
+    return f._packed or f.table
 
 
 class _LazyTable(FiniteFunction):
@@ -353,13 +358,13 @@ def parse(text: str) -> FiniteFunction:
 
 def render(f: FiniteFunction) -> str:
     if f.b > 10:
-        return f"{f.k} {f.n} {f.b}\n" + " ".join(str(v) for v in f.table) + "\n"
+        return f"{f.k} {f.n} {f.b}\n" + " ".join(str(v) for v in _values(f)) + "\n"
     row = bytearray(b" ") * (2 * f.size)  # digits at the even bytes, then "\n"
-    row[::2] = (f._packed or bytes(f.table)).translate(_VALUE_DIGITS)
+    row[::2] = bytes(_values(f)).translate(_VALUE_DIGITS)
     row[-1] = 10
     return f"{f.k} {f.n} {f.b}\n" + row.decode()
 
 
 def render_line(f: FiniteFunction) -> str:
     """Compact one-line form, used for failure records in reports."""
-    return f"{f.k} {f.n} {f.b};" + " ".join(str(v) for v in f.table)
+    return f"{f.k} {f.n} {f.b};" + " ".join(str(v) for v in _values(f))

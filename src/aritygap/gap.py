@@ -13,6 +13,7 @@ from .core import (
     NoSuchSupportError,
     UnsupportedCodomainError,
     all_tuples,
+    _values,
 )
 from .analysis import _essential_ids, _repeat_set, restrict_to_essential
 from .minors import _substitute, diagonal
@@ -73,7 +74,7 @@ def quasi_arity(f: FiniteFunction) -> int:
     """
     if f.n == 2:
         return 0 if diagonal(f).is_constant() else 1
-    return len(_essential_ids(f.k, f.n, f._packed or f.table, on_repeat=True))
+    return len(_essential_ids(f.k, f.n, _values(f), on_repeat=True))
 
 
 def is_semiprojection(f: FiniteFunction) -> int | None:
@@ -86,7 +87,7 @@ def is_semiprojection(f: FiniteFunction) -> int | None:
             f"semiprojection test needs b = k, got b={f.b}, k={f.k}"
         )
     candidates = set(range(1, f.n + 1))
-    for t, v in _repeat_set(f.k, f.n, zip(all_tuples(f.k, f.n), f.table)):
+    for t, v in _repeat_set(f.k, f.n, zip(all_tuples(f.k, f.n), _values(f))):
         candidates = {s for s in candidates if t[s - 1] == v}
         if not candidates:
             return None
@@ -111,7 +112,7 @@ def unique_unary_support(f: FiniteFunction) -> UnarySupport:
     n-ary constant f(0,...,0) and no slot; quasi-arity 1 gives a -> f(a,...,a)
     read at the one slot essential on the repeat set, ambiguous (one support
     per slot) exactly when n = 2.  Raises NoSuchSupportError from quasi-arity 2."""
-    ids = _essential_ids(f.k, f.n, f._packed or f.table, on_repeat=True)
+    ids = _essential_ids(f.k, f.n, _values(f), on_repeat=True)
     if len(ids) >= 2:
         raise NoSuchSupportError(f"quasi-arity is {len(ids)}, no essentially unary support")
     d = diagonal(f)
@@ -146,7 +147,7 @@ def _pair_scan(f: FiniteFunction) -> tuple[FiniteFunction, tuple[int, ...], int,
     ess = len(slots)
     if ess < 2:
         raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
-    table = g._packed or g.table
+    table = _values(g)
     best = -1
     best_pair = (1, 2)
     for i, j in combinations(range(1, ess + 1), 2):
@@ -181,7 +182,7 @@ def arity_gap(f: FiniteFunction) -> GapReport:
     """
     g, slots, essl, pair = _pair_scan(f)
     ess = len(slots)
-    ids = _essential_ids(g.k, ess, g._packed or g.table, on_repeat=True)
+    ids = _essential_ids(g.k, ess, _values(g), on_repeat=True)
     qa = quasi_arity(g) if ess == 2 else len(ids)
     support = _substitute(diagonal(g), ess, ids or (1,)) if qa <= 1 else None
     return GapReport(

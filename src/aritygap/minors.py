@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import FiniteFunction, _check_shape
+from .core import FiniteFunction, _check_shape, _values
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ def _substitute(g: FiniteFunction, n: int, sigma: tuple[int, ...]) -> FiniteFunc
     # A minor no wider than g fits the table limit because g does.
     if n > g.n:
         _check_shape(g.k, n, g.b)
-    gather = _sigma_gather(g.k, g.n, n, sigma)
-    return FiniteFunction._valid(g.k, n, g.b, gather(g._packed or g.table))
+    return FiniteFunction._valid(g.k, n, g.b, _sigma_gather(g.k, g.n, n, sigma)(_values(g)))
 
 
 def simple_minor(g: FiniteFunction, sigma: MinorMap) -> FiniteFunction:
@@ -107,4 +106,4 @@ def partition_minor(f: FiniteFunction, delta: VariablePartition) -> FiniteFuncti
 def diagonal(f: FiniteFunction) -> FiniteFunction:
     """The unary function a -> f(a, ..., a)."""
     step = (f.k**f.n - 1) // (f.k - 1)  # index of (a,...,a) is a * step
-    return FiniteFunction._valid(f.k, 1, f.b, tuple((f._packed or f.table)[::step]))
+    return FiniteFunction._valid(f.k, 1, f.b, tuple(_values(f)[::step]))

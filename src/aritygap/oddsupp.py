@@ -9,7 +9,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
-from .core import FiniteFunction, index_to_tuple
+from .core import FiniteFunction, _values, index_to_tuple
 from .analysis import _repeat_set
 
 
@@ -78,7 +78,7 @@ def _fiber_profile(f: FiniteFunction, restricted: bool) -> OddsuppProfile:
     # values has the least first member among such fibers, and the first of
     # its entries with another value is the witness's second tuple.
     gather, order, spans = _fibers(f.k, f.n, restricted)
-    vals = gather(f._packed or f.table)
+    vals = gather(_values(f))
     star: dict[int, int] = {}
     for mask, lo, hi in spans:
         v = vals[lo]

@@ -205,6 +205,12 @@ def test_pair_scan_agrees_with_arity_gap_and_oracle_gap(t):
 
 
 TABLE_SLOT = vars(FiniteFunction)["table"]  # the slot itself, past any property
+
+
+def last_entry(f):
+    return f(*(f.k - 1,) * f.n)
+
+
 LAYERS = (
     arity_gap,
     classify,
@@ -222,6 +228,8 @@ LAYERS = (
     diagonal,
     anf,
     render,
+    last_entry,
+    FiniteFunction.is_constant,
 )
 
 
@@ -259,9 +267,9 @@ def test_parsed_tables_stay_unbuilt_through_every_layer(t):
 def test_unbuilt_check_fails_a_substitute_that_reads_the_table(monkeypatch):
     # A twin of minors._substitute that gathers from the tuple.
     source = inspect.getsource(minors._substitute)
-    assert source.count("g._packed or g.table") == 1
+    assert source.count("_values(g)") == 1
     scope = dict(vars(minors))
-    exec(source.replace("g._packed or g.table", "g.table"), scope)
+    exec(source.replace("_values(g)", "g.table"), scope)
     for module in (minors, analysis, gap):
         monkeypatch.setattr(module, "_substitute", scope["_substitute"])
 
