@@ -46,7 +46,7 @@ def _repeat_set(k: int, n: int, items: Iterable, off: bool = False) -> Iterator:
     return compress(items, flags.translate(_FLIP) if off else flags)
 
 
-_RUN_CAP = 64  # entries compared by a lead's first slice
+_RUN_CAP = 64  # entries compared by a run's probe
 _MIN_RUN = 16  # below this, comparing pairs one by one is faster than slicing
 
 
@@ -58,13 +58,12 @@ def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[int, tuple[tuple[int, 
     # With stride s, each block of k*s entries holds the k values of the slot; a
     # run pairs the entries with digit 0 there with those with digit d,
     # inside a block (step 1) or along a residue mod k*s (step k*s),
-    # whichever is longer.  Each such lead is compared in slices that start
-    # at _RUN_CAP entries and grow 4 times per head: a table that depends on
-    # the slot usually differs in the first, and one that does not costs
-    # O(log run) heads, each one memcmp on a packed table.  Runs shorter
-    # than _MIN_RUN, and the repeat set when it is not the whole domain, list
-    # pairs instead: in each fiber of the slot, its first member in the
-    # repeat set with each later one.
+    # whichever is longer.  Each run is compared in two slices: a probe of
+    # its first _RUN_CAP entries, where a table that depends on the slot
+    # usually differs, then the rest of the run in one memcmp on a packed
+    # table.  Runs shorter than _MIN_RUN, and the repeat set when it is not
+    # the whole domain, list pairs instead: in each fiber of the slot, its
+    # first member in the repeat set with each later one.
     if on_repeat and not 2 <= n <= k:
         return _plan(k, n, False)
     size = k**n
@@ -82,11 +81,9 @@ def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[int, tuple[tuple[int, 
         else:
             step = 1 if run == s else width
             for lead in range(0, size, width) if step == 1 else range(s):
-                a, end, span = lead, lead + run * step, _RUN_CAP * step
-                while a < end:
-                    span = min(span, end - a)
-                    heads += [(a, a + d * s, span, step) for d in range(1, k)]
-                    a, span = a + span, span * 4
+                cut, end = lead + min(run, _RUN_CAP) * step, lead + run * step
+                for a, z in (lead, cut), (cut, end):
+                    heads += [(a, a + d * s, z - a, step) for d in range(1, k) if a < z]
         plan.append((slot, tuple(heads)))
     return tuple(plan)
 

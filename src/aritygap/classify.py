@@ -8,13 +8,12 @@ from functools import lru_cache
 
 from .core import (
     FiniteFunction,
-    GapUndefinedError,
     UnsupportedDomainError,
     all_tuples,
     _values,
 )
-from .analysis import _essential_ids, restrict_to_essential
-from .gap import quasi_arity
+from .analysis import _essential_ids
+from .gap import _essential_part, quasi_arity
 from .minors import diagonal
 from .oddsupp import is_restriction_determined_by_oddsupp
 
@@ -162,14 +161,6 @@ def ternary_pattern(f: FiniteFunction) -> tuple[tuple[int, int, int], FiniteFunc
     return tuple(pattern), h
 
 
-def _essential_part(f: FiniteFunction) -> tuple[FiniteFunction, tuple[int, ...]]:
-    # restrict_to_essential(f), refused below two essential slots.
-    g, slots = restrict_to_essential(f)
-    if len(slots) < 2:
-        raise GapUndefinedError(f"classification needs >= 2 essential slots, got {len(slots)}")
-    return g, slots
-
-
 def classify(f: FiniteFunction) -> Classification:
     """Gap of f with its structural rationale.
 
@@ -179,7 +170,7 @@ def classify(f: FiniteFunction) -> Classification:
     when m = n - 2, or m = n and the restriction to the repeat set is
     determined by oddsupp.  In all remaining cases the gap is 1.
     """
-    g, slots = _essential_part(f)
+    g, slots = _essential_part(f, "classification")
     n = len(slots)
     qa = quasi_arity(g)
     if qa <= n - 3:
@@ -272,7 +263,7 @@ def classify_boolean(f: FiniteFunction) -> Classification:
         raise UnsupportedDomainError(
             f"Boolean classifier needs k = b = 2, got k={f.k}, b={f.b}"
         )
-    g, slots = _essential_part(f)
+    g, slots = _essential_part(f, "classification")
     return _classify_two_valued(g, slots, g)
 
 
@@ -286,7 +277,7 @@ def classify_pseudo_boolean(f: FiniteFunction) -> Classification:
     """
     if f.k != 2:
         raise UnsupportedDomainError(f"pseudo-Boolean classifier needs k = 2, got k={f.k}")
-    g, slots = _essential_part(f)
+    g, slots = _essential_part(f, "classification")
     table = _values(g)
     values = set(table)
     if len(values) == 2:

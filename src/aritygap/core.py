@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from copy import copy
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -90,12 +89,15 @@ class FunctionFormatError(ValueError):
 def _check_shape(k: int, n: int, b: int) -> int:
     # k^n, the size of a table over k, n and b, after the only checks of k,
     # n, b and the table limit, made in that order before a table is built.
-    if k < 2:
-        raise ValueError(f"domain size k must be >= 2, got {k}")
-    if n < 1:
-        raise ValueError(f"arity n must be >= 1, got {n}")
-    if b < 2:
-        raise ValueError(f"codomain size b must be >= 2, got {b}")
+    # The loop names the first bad field; the test before it keeps the
+    # parse of many small tables fast.
+    ints = isinstance(k, int) and isinstance(n, int) and isinstance(b, int)
+    if not (ints and k >= 2 and n >= 1 and b >= 2):
+        for name, v, low in (("domain size k", k, 2), ("arity n", n, 1), ("codomain size b", b, 2)):
+            if not isinstance(v, int):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < low:
+                raise ValueError(f"{name} must be >= {low}, got {v}")
     # 2^n alone is over the limit once n reaches its bit length, so from
     # there on k^n is written as a power and never computed.
     power = n >= MAX_TABLE_ENTRIES.bit_length()
@@ -157,8 +159,10 @@ class FiniteFunction:
     The line path's instances are of a private subclass that builds
     ``table`` from ``_packed`` on first read, so readers take ``_values(f)``,
     which is ``_packed`` where set.  Threads racing on that read build equal
-    tuples, so these are safe to share too; they compare, hash and print as
-    plain functions, and pickle and copy to one.
+    tuples, so these are safe to share too.  They compare, print and
+    ``replace`` as plain functions because the dataclass's methods read their
+    ``__class__``, which is ``FiniteFunction``; they hash by the same fields,
+    and pickle and copy to one.
     """
 
     k: int
@@ -169,13 +173,17 @@ class FiniteFunction:
 
     def __post_init__(self):
         size = _check_shape(self.k, self.n, self.b)
-        if not isinstance(self.table, tuple):
-            object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != size:
-            raise ValueError(f"expected {size} table entries, got {len(self.table)}")
-        for pos, v in enumerate(self.table):
+        table = tuple(self.table)
+        if len(table) != size:
+            raise ValueError(f"expected {size} table entries, got {len(table)}")
+        for pos, v in enumerate(table):
             if not isinstance(v, int) or not 0 <= v < self.b:
                 raise ValueError(f"table entry {v!r} at index {pos} not in 0..{self.b - 1}")
+        # Plain ints, so that a bool or other int subclass renders as a number.
+        _set_k(self, int(self.k))
+        _set_n(self, int(self.n))
+        _set_b(self, int(self.b))
+        _set_table(self, tuple(map(int, table)))
 
     @classmethod
     def _valid(
@@ -215,7 +223,7 @@ class FiniteFunction:
         return values.count(values[0]) == len(values)
 
 
-# The slots' own setters, which _valid calls past the frozen __setattr__.
+# The slots' own setters, which get past the frozen __setattr__.
 _set_k, _set_n, _set_b, _set_table, _set_packed = (
     vars(FiniteFunction)[name].__set__ for name in ("k", "n", "b", "table", "_packed")
 )
@@ -228,25 +236,20 @@ def _values(f: FiniteFunction) -> bytes | tuple[int, ...]:
 
 class _LazyTable(FiniteFunction):
     # _valid(k, n, b, None, packed): the slot holds None until a read of table
-    # stores tuple(_packed) there.  replace() sets it through the property.
+    # stores tuple(_packed) there.  Its __class__ is FiniteFunction, which the
+    # dataclass's == and repr and replace() read, so they treat it as one.
     __slots__ = ()
+    __class__ = property(lambda self: FiniteFunction)
 
     def _built(self) -> tuple[int, ...]:
         if (table := _get_table(self)) is None:
             _set_table(self, table := tuple(self._packed))
         return table
 
-    table = property(_built, _set_table)
-    __hash__ = FiniteFunction.__hash__
+    table = property(_built)
 
-    def __reduce__(self):  # pickle and copy() give a plain one, as == and repr do
+    def __reduce__(self):  # pickle and copy() give a plain one
         return FiniteFunction._valid, (self.k, self.n, self.b, self.table, self._packed)
-
-    def __eq__(self, other):
-        return copy(self) == other if isinstance(other, FiniteFunction) else NotImplemented
-
-    def __repr__(self):
-        return repr(copy(self))
 
 
 def constant(k: int, n: int, b: int, value: int) -> FiniteFunction:

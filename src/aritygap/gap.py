@@ -139,14 +139,20 @@ class GapReport:
     support: FiniteFunction | None
 
 
+def _essential_part(f: FiniteFunction, subject: str) -> tuple[FiniteFunction, tuple[int, ...]]:
+    # restrict_to_essential(f), refused for the subject below two essential slots.
+    g, slots = restrict_to_essential(f)
+    if len(slots) < 2:
+        raise GapUndefinedError(f"{subject} needs >= 2 essential slots, got {len(slots)}")
+    return g, slots
+
+
 def _pair_scan(f: FiniteFunction) -> tuple[FiniteFunction, tuple[int, ...], int, tuple[int, int]]:
     # f on its essential slots, those slots, the most essential slots kept
     # by a minor identifying two of them, and the least pair keeping that
     # many, in f's numbering: arity_gap without the repeat-set scan.
-    g, slots = restrict_to_essential(f)
+    g, slots = _essential_part(f, "arity gap")
     ess = len(slots)
-    if ess < 2:
-        raise GapUndefinedError(f"arity gap needs >= 2 essential slots, got {ess}")
     table = _values(g)
     best = -1
     best_pair = (1, 2)

@@ -87,6 +87,10 @@ NOT1 = FiniteFunction(2, 1, 2, (1, 0))
 CONST1 = constant(3, 1, 2, 1)
 
 
+def _fields_and_entries(f):
+    return (f.k, f.n, f.b, *f.table)
+
+
 def _outcome(call):
     # What call() returns, or the type and message of what it raises.
     try:
@@ -134,6 +138,31 @@ def _outcome(call):
         (lambda: unique_unary_support(NOT1), UnarySupport((NOT1,), (1,), False)),
         (lambda: unique_unary_support(CONST1), UnarySupport((CONST1,), (), False)),
         (lambda: [DiagonalRestriction(NOT1).contains(t) for t in ((0,), (1,))], [True, True]),
+        (
+            lambda: FiniteFunction(2.0, 2, 2, (0, 1, 1, 0)),
+            (ValueError, "domain size k must be an integer, got 2.0"),
+        ),
+        (
+            lambda: FiniteFunction(2, 2, 2.0, (0, 1, 1, 0)),
+            (ValueError, "codomain size b must be an integer, got 2.0"),
+        ),
+        (
+            lambda: FiniteFunction(2, "2", 2, (0, 1, 1, 0)),
+            (ValueError, "arity n must be an integer, got '2'"),
+        ),
+        (lambda: constant(2, 1.5, 2, 0), (ValueError, "arity n must be an integer, got 1.5")),
+        (lambda: projection(2, 2.0, 1), (ValueError, "arity n must be an integer, got 2.0")),
+        (
+            lambda: gen_essentially_m_ary(2.0, 2, 2, 1, seed=0),
+            (ValueError, "domain size k must be an integer, got 2.0"),
+        ),
+        (lambda: render(FiniteFunction(2, True, 2, (0, 1))), "2 1 2\n0 1\n"),
+        (lambda: render_line(FiniteFunction(2, 1, 2, (True, False))), "2 1 2;1 0"),
+        (lambda: render(FiniteFunction(2, 1, 11, (True, False))), "2 1 11\n1 0\n"),
+        (
+            lambda: {type(v) for v in _fields_and_entries(FiniteFunction(2, True, 2, (True, 0)))},
+            {int},
+        ),
     ],
     ids=[
         "minor-map-source-arity",
@@ -154,6 +183,16 @@ def _outcome(call):
         "unary-support-unary",
         "unary-support-constant",
         "diagonal-restriction-unary",
+        "function-float-domain-size",
+        "function-float-codomain-size",
+        "function-str-arity",
+        "constant-float-arity",
+        "projection-float-arity",
+        "essentially-m-ary-float-domain-size",
+        "function-bool-arity-renders-as-int",
+        "function-bool-entries-render-line-as-ints",
+        "function-bool-entries-render-as-ints-above-ten",
+        "function-stores-plain-ints",
     ],
 )
 def test_argument_checks(call, expected):
@@ -268,6 +307,13 @@ def test_round_trip_random(seed):
     n = rng.randint(1, 4)
     b = rng.randint(2, 5)
     f = FiniteFunction(k, n, b, tuple(rng.randrange(b) for _ in range(k**n)))
+    assert parse(render(f)) == f
+    assert parse(render_line(f)) == f
+
+
+@pytest.mark.parametrize("b", [2, 11])
+def test_bool_tables_round_trip_as_ints(b):
+    f = FiniteFunction(2, 2, b, (False, True, True, False))
     assert parse(render(f)) == f
     assert parse(render_line(f)) == f
 

@@ -57,24 +57,21 @@ from aritygap.gap import _pair_scan, _section
 SMALL = ((2, 5), (3, 3), (3, 4), (4, 4))
 LARGE = ((2, 12), (3, 8), (4, 6))
 SCAN = tuple((2, n) for n in range(2, 7)) + ((3, 2), (3, 3), (3, 4), (4, 3))
-RUN = 64  # entries in the first slice of a run; each later slice is 4 times longer
+RUN = 64  # entries in a run's probe; the rest of the run is one more slice
 EXAMPLES = settings(derandomize=True, max_examples=30, deadline=None, report_multiple_bugs=False)
 
 
 def last_slice(k, n, slot):
     """The indices with digit 0 at slot that fall in the last slice of their
     run: a run pairs digit 0 with digit d inside a block of k*s entries or
-    along a residue mod k*s, whichever is longer, and is cut into slices of
-    RUN, 4*RUN, 16*RUN, ... entries."""
+    along a residue mod k*s, whichever is longer, and is cut into a probe of
+    its first RUN entries and one slice for the rest."""
     s = k ** (n - slot)
     width = k * s
     run = max(s, k**n // width)
     step = 1 if run == s else width
-    start, span = 0, RUN
-    while start + span < run:
-        start, span = start + span, span * 4
     leads = range(0, k**n, width) if step == 1 else range(s)
-    return [lead + p * step for lead in leads for p in range(start, run)]
+    return [lead + p * step for lead in leads for p in range(RUN if run > RUN else 0, run)]
 
 
 def reference_ids(f, on_repeat=False):
@@ -164,11 +161,11 @@ def test_packed_and_tuple_twins_agree_on_large_tables(t):
 
 
 def test_twin_check_fails_a_plan_without_its_last_slice(monkeypatch):
-    # A twin of _plan whose runs stop before the slice that reaches their end.
+    # A twin of _plan whose runs keep their probe and drop the rest.
     source = inspect.getsource(analysis._plan)
-    assert source.count("while a < end:") == 1
+    assert source.count("(lead, cut), (cut, end)") == 1
     scope = dict(vars(analysis))
-    exec(source.replace("while a < end:", "while a + span < end:"), scope)
+    exec(source.replace("(lead, cut), (cut, end)", "((lead, cut),)"), scope)
     monkeypatch.setattr(analysis, "_plan", scope["_plan"])
 
     @settings(EXAMPLES, phases=[Phase.generate])
@@ -180,9 +177,9 @@ def test_twin_check_fails_a_plan_without_its_last_slice(monkeypatch):
         check()
 
 
-def test_plan_heads_grow_per_run():
-    # Slices that grow 4 times per head hold (2,18) to a few thousand heads;
-    # fixed 64-entry slices took 36,864.
+def test_plan_holds_a_probe_and_a_remainder_per_run():
+    # A probe and one head for the rest of each run hold (2,18) to a few
+    # thousand heads (2,044); fixed 64-entry slices took 36,864.
     assert sum(len(heads) for _, heads in analysis._plan(2, 18, False)) <= 4096
 
 
@@ -314,3 +311,21 @@ def test_only_the_line_path_makes_unbuilt_tables():
     )
     assert all(type(f) is FiniteFunction for f in made)
     assert unbuilt(parse("2 2 2\n0 1 1 0\n"))
+
+
+@pytest.mark.parametrize(
+    "replace_",
+    [
+        replace,
+        pytest.param(
+            getattr(copy, "replace", None),
+            marks=pytest.mark.skipif(not hasattr(copy, "replace"), reason="Python 3.13+"),
+        ),
+    ],
+    ids=["dataclasses.replace", "copy.replace"],
+)
+def test_replace_on_a_parsed_table_gives_a_plain_validated_function(replace_):
+    changed = replace_(parse("2 2 2\n0 1 1 0\n"), b=3)
+    assert type(changed) is FiniteFunction and changed == FiniteFunction(2, 2, 3, (0, 1, 1, 0))
+    with pytest.raises(ValueError, match="^table entry 2 at index 1 not in 0..1$"):
+        replace_(parse("2 1 3\n0 2\n"), b=2)
