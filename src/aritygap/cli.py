@@ -9,6 +9,8 @@ Exit codes: 0 success, 1 domain error, 2 usage, parse or file error, 3 when
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from functools import lru_cache
 
@@ -138,21 +140,34 @@ def _read_functions(args) -> list[FiniteFunction]:
 
 
 class _Output:
-    """Stdout, or the --out file opened (and truncated) at the first write,
-    so a command that fails before writing leaves an existing file as it was."""
+    """Stdout, or the --out file opened at the first write, so a command that
+    fails before writing leaves an existing file as it was.  The file is not
+    truncated at open: the output is written over the old bytes, and close()
+    cuts a regular file to the written length (a device or FIFO is never cut)."""
 
     def __init__(self, args):
         self.path = getattr(args, "outfile", None)
         self.fh = None if self.path else sys.stdout
+        self.fd = None
 
     def write(self, text: str):
         if self.fh is None:
-            self.fh = open(self.path, "w", encoding="utf-8")
+            self.fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
+            self.fh = open(self.fd, "w", encoding="utf-8", closefd=False)
         self.fh.write(text)
 
     def close(self):
-        if self.path and self.fh is not None:
-            self.fh.close()
+        fd, self.fd = self.fd, None
+        if fd is not None:
+            try:
+                if self.fh is not None:  # None only if wrapping the new fd failed
+                    self.fh.close()  # a failed flush is raised after the cut below
+            finally:
+                try:  # the offset counts only the bytes the kernel took
+                    if stat.S_ISREG(os.fstat(fd).st_mode):
+                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+                finally:
+                    os.close(fd)
 
 
 def _parse_slots(text: str, count: int | None = None) -> tuple[int, ...]:

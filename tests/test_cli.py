@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import itertools
 import os
 import shutil
@@ -562,6 +563,84 @@ def test_out_file_empty_when_nothing_written(tmp_path, monkeypatch, capsys):
     assert target.read_text() == ""
 
 
+def test_out_shorter_output_leaves_no_old_tail(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "out.txt"
+    target.write_text("x" * 499 + "\n")
+    code, out, _ = run_cli(
+        ["gen", "salomaa", "--k", "2", "--out", str(target)], "", monkeypatch, capsys
+    )
+    assert (code, out) == (0, "")
+    assert target.read_text() == "2 2 2\n0 1 0 0\n"
+
+
+def test_out_keeps_only_the_lines_written_before_a_domain_error(tmp_path, monkeypatch, capsys):
+    # The file is written in place, so the cut at close also runs on the
+    # exit-1 path: the old bytes after the first line are gone.
+    target = tmp_path / "out.txt"
+    target.write_text("x" * 499 + "\n")
+    code, out, err = run_cli(
+        ["analyze", "--out", str(target)], XOR2_TEXT + "2 2 2\n0 0 0 0\n", monkeypatch, capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "aritygap: arity gap needs >= 2 essential slots, got 0\n"
+    assert target.read_text() == "ess=2 qa=0 essl=0 gap=2 pair=1,2\n"
+
+
+def test_out_may_be_the_input_file(tmp_path, monkeypatch, capsys):
+    # The input is read in full before the first write, and the 160-byte
+    # output replaces the 224-byte input.
+    path = tmp_path / "fns.fn"
+    assert main(["enumerate", "--k", "2", "--n", "2", "--b", "2", "--out", str(path)]) == 0
+    code, expected, _ = run_cli(["minor", "--diagonal", "--in", str(path)], "", monkeypatch, capsys)
+    assert code == 0 and len(expected) < path.stat().st_size
+    code, out, _ = run_cli(
+        ["minor", "--diagonal", "--in", str(path), "--out", str(path)], "", monkeypatch, capsys
+    )
+    assert (code, out) == (0, "")
+    assert path.read_text() == expected
+
+
+def test_out_to_a_device_or_fifo_is_never_cut(tmp_path, monkeypatch, capsys):
+    import threading
+
+    cut = []
+    ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda *a: cut.append(a) or ftruncate(*a))
+    argv = ["gen", "salomaa", "--k", "2", "--out"]
+    assert run_cli(argv + [os.devnull], "", monkeypatch, capsys) == (0, "", "")
+    if hasattr(os, "mkfifo"):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run_cli(argv + [str(fifo)], "", monkeypatch, capsys) == (0, "", "")
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert got == [b"2 2 2\n0 1 0 0\n"]
+    assert cut == []
+
+
+def test_out_opens_an_existing_file_without_truncating(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "out.txt"
+    target.write_text("old contents\n")
+    flags = []
+    os_open = os.open
+
+    def spy(path, flag, *rest, **kw):
+        if os.fspath(path) == str(target):
+            flags.append(flag)
+        return os_open(path, flag, *rest, **kw)
+
+    monkeypatch.setattr(os, "open", spy)
+    code, out, _ = run_cli(
+        ["gen", "salomaa", "--k", "2", "--out", str(target)], "", monkeypatch, capsys
+    )
+    assert (code, out) == (0, "")
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    assert target.read_text() == "2 2 2\n0 1 0 0\n"
+
+
 def _limited_address_space():
     import resource
 
@@ -787,6 +866,39 @@ def test_out_on_a_full_device_is_a_file_error():
     assert "Traceback" not in done.stderr
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("aritygap: ")
+
+
+def _file_size_limit_of_100_bytes():
+    import resource
+    import signal
+
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+    resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE and SIGXFSZ")
+def test_out_cut_to_the_bytes_written_after_a_failed_write(tmp_path):
+    # The 224-byte output is flushed at close and only its first 100 bytes
+    # fit; the cut after the failed flush must still drop the old 300 bytes'
+    # tail, leaving what a file truncated at open would hold.
+    full = tmp_path / "full.fn"
+    argv = ["enumerate", "--k", "2", "--n", "2", "--b", "2"]
+    assert main(argv + ["--out", str(full)]) == 0
+    assert full.stat().st_size == 224
+    target = tmp_path / "out.fn"
+    target.write_bytes(b"x" * 299 + b"\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "aritygap", *argv, "--out", str(target)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_file_size_limit_of_100_bytes,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"aritygap: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+    assert target.read_bytes() == full.read_bytes()[:100]
 
 
 def test_stream_input_memory_stays_near_its_size(tmp_path):
