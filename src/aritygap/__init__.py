@@ -24,14 +24,11 @@ from .core import (
 )
 from .minors import (
     MinorMap,
-    VariablePartition,
     diagonal,
     identification_minor,
-    partition_minor,
     simple_minor,
 )
 from .analysis import (
-    DiagonalRestriction,
     EssentialityWitness,
     SupportExtension,
     essential_arity,

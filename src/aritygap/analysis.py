@@ -135,32 +135,6 @@ def essential_arity(f: FiniteFunction) -> int:
     return len(_essential_ids(f.k, f.n, _values(f)))
 
 
-@dataclass(frozen=True)
-class DiagonalRestriction:
-    """View of f on the tuples with a repeated coordinate.
-
-    For n > k that is the whole domain; for n = 1 it is all of A by
-    convention.
-    """
-
-    f: FiniteFunction
-
-    def contains(self, t: Sequence[int]) -> bool:
-        if self.f.n == 1:
-            return True
-        return len(set(t)) < self.f.n
-
-    def indices(self) -> Iterator[int]:
-        return _repeat_set(self.f.k, self.f.n, range(self.f.size))
-
-    def tuples(self) -> Iterator[tuple[int, ...]]:
-        return _repeat_set(self.f.k, self.f.n, self.f.tuples())
-
-    @property
-    def size(self) -> int:
-        return sum(_repeat_flags(self.f.k, self.f.n))
-
-
 def _on_slots(f: FiniteFunction, ids: tuple[int, ...]) -> FiniteFunction:
     # f with slot ids[l] fed from target slot l + 1 and every other slot from
     # the last target slot.  With no ids every slot is fed from slot 1, which

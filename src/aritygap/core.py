@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 # Guard against absurd table sizes before allocating anything.
@@ -260,8 +261,7 @@ def projection(k: int, n: int, t: int) -> FiniteFunction:
     """The operation (a1, ..., an) -> a_t, with codomain identified with the domain."""
     if not 1 <= t <= n:
         raise ValueError(f"projection slot {t} not in 1..{n}")
-    _check_shape(k, n, k)
-    return FiniteFunction(k, n, k, tuple(tt[t - 1] for tt in all_tuples(k, n)))
+    return from_function(k, n, k, itemgetter(t - 1))
 
 
 def from_function(k: int, n: int, b: int, fn: Callable[[tuple[int, ...]], int]) -> FiniteFunction:

@@ -1,4 +1,4 @@
-"""Simple variable substitutions: sigma-minors, identification and partition minors."""
+"""Simple variable substitutions: sigma-minors, identification minors and the diagonal."""
 
 from __future__ import annotations
 
@@ -26,30 +26,6 @@ class MinorMap:
         for s in self.sigma:
             if not 1 <= s <= self.n:
                 raise ValueError(f"sigma entry {s} not in 1..{self.n}")
-
-
-@dataclass(frozen=True)
-class VariablePartition:
-    """A partition of the slot set {1..n} into disjoint nonempty blocks."""
-
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        canon = tuple(sorted(tuple(sorted(block)) for block in self.blocks))
-        object.__setattr__(self, "blocks", canon)
-        seen: set[int] = set()
-        for block in canon:
-            if not block:
-                raise ValueError("empty block")
-            for s in block:
-                if not 1 <= s <= self.n:
-                    raise ValueError(f"slot {s} not in 1..{self.n}")
-                if s in seen:
-                    raise ValueError(f"slot {s} appears in two blocks")
-                seen.add(s)
-        if len(seen) != self.n:
-            raise ValueError("blocks do not cover all slots")
 
 
 def _sigma_gather(k: int, m: int, n: int, sigma: tuple[int, ...]) -> itemgetter:
@@ -89,18 +65,6 @@ def identification_minor(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
     if i == j:
         raise ValueError("identification needs two distinct slots")
     return _substitute(f, f.n, tuple(j if s == i else s for s in range(1, f.n + 1)))
-
-
-def partition_minor(f: FiniteFunction, delta: VariablePartition) -> FiniteFunction:
-    """Identify the slots of each block, routing every block to its minimum slot."""
-    if delta.n != f.n:
-        raise ValueError(f"partition is over {delta.n} slots, function has arity {f.n}")
-    sigma = [0] * f.n
-    for block in delta.blocks:
-        lead = block[0]
-        for s in block:
-            sigma[s - 1] = lead
-    return _substitute(f, f.n, tuple(sigma))
 
 
 def diagonal(f: FiniteFunction) -> FiniteFunction:

@@ -38,9 +38,14 @@ from .core import (
     render_line,
     tuple_to_index,
 )
-from .analysis import _repeat_set, is_restriction_totally_symmetric
+from .analysis import (
+    _repeat_set,
+    essential_slots_on_diagonal,
+    is_restriction_totally_symmetric,
+    support_extension,
+)
 from .classify import classify_pseudo_boolean, ternary_pattern
-from .gap import _pair_scan, arity_gap, is_semiprojection, quasi_arity
+from .gap import _pair_scan, arity_gap, is_semiprojection, quasi_arity, unique_unary_support
 from .minors import _substitute
 from .oddsupp import is_restriction_determined_by_oddsupp, oddsupp_mask, reachable_oddsupp_masks
 
@@ -314,11 +319,7 @@ def gen_oddsupp_determined(k: int, n: int, b: int, seed: int) -> FiniteFunction:
 
 
 def gen_ternary_pattern(
-    k: int,
-    pattern: tuple[int, int, int],
-    seed: int,
-    b: int | None = None,
-    h_table: Sequence[int] | None = None,
+    k: int, pattern: tuple[int, int, int], seed: int, b: int | None = None
 ) -> FiniteFunction:
     """A ternary function realizing the selector pattern (i1, i2, i3) with a
     nonconstant unary h, all three slots essential.
@@ -334,23 +335,18 @@ def gen_ternary_pattern(
     if b is None:
         b = k
     _check_shape(k, 3, b)
-    if h_table is None:
-        if b == k:
-            h_table = tuple(range(k))
-        else:
-            h_table = tuple(rng.randrange(b) for _ in range(k))
-    h_table = tuple(h_table)
-    if len(set(h_table)) < 2:
+    h = tuple(range(k)) if b == k else tuple(rng.randrange(b) for _ in range(k))
+    if len(set(h)) < 2:
         raise ValueError("h must be nonconstant")
     i1, i2, i3 = pattern
     base = [0] * k**3
     for idx, (a1, a2, a3) in enumerate(all_tuples(k, 3)):
         if a2 == a3:
-            base[idx] = h_table[a1 if i1 else a2]
+            base[idx] = h[a1 if i1 else a2]
         elif a1 == a3:
-            base[idx] = h_table[a2 if i2 else a1]
+            base[idx] = h[a2 if i2 else a1]
         elif a1 == a2:
-            base[idx] = h_table[a3 if i3 else a1]
+            base[idx] = h[a3 if i3 else a1]
     # At k = 2 every ternary tuple has a repeat, so there is nothing to
     # draw and every attempt would build the same table.
     return _first_found(
@@ -381,11 +377,7 @@ def gen_semiprojection(k: int, n: int, t: int, seed: int) -> FiniteFunction:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to verify and over which function space.
-
-    `filter` optionally narrows the space to functions matching `gap=G`,
-    `qa=M` or `ess=E` before the check runs.
-    """
+    """What to verify and over which function space."""
 
     theorem: str
     k: int
@@ -394,7 +386,6 @@ class SweepSpec:
     mode: str = "exhaustive"  # or "sampled"
     samples: int | None = None
     seed: int | None = None
-    filter: str | None = None
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "sampled"):
@@ -403,8 +394,6 @@ class SweepSpec:
             raise ValueError("sampled mode needs a sample count")
         if self.mode == "sampled" and self.samples < 0:
             raise ValueError(f"sample count must be >= 0, got {self.samples}")
-        if self.filter is not None:
-            parse_instance_filter(self.filter)
 
 
 def parse_instance_filter(text: str) -> Callable[[FiniteFunction], bool]:
@@ -453,14 +442,36 @@ def _id_minors(f: FiniteFunction) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         yield i, j, _id_table(f, i, j)
 
 
+def _supports_agree(f: FiniteFunction, qa: int) -> bool:
+    # Section 3's supports of an f of quasi-arity qa <= 1, against their
+    # definitions: unique_unary_support's, and for n != 2 support_extension's
+    # h padded back to arity n, each agree with f on the repeat set, read off
+    # the tuples, and keep qa essential slots; for n >= 3 the slots essential
+    # on the repeat set are the extension's.
+    supports = list(unique_unary_support(f).supports)
+    if f.n != 2:
+        ext = support_extension(f)
+        supports.append(_substitute(ext.h, f.n, ext.slots or (1,)))
+        if f.n >= 3 and tuple(essential_slots_on_diagonal(f)) != ext.slots:
+            return False
+    repeat = [f.n == 1 or len(set(t)) < f.n for t in all_tuples(f.k, f.n)]
+    return all(
+        _essential_count(f.k, f.n, g.table) == qa
+        and all(v == w for v, w in itertools.compress(zip(g.table, f.table), repeat))
+        for g in supports
+    )
+
+
 def _check_minors_constant_iff_quasi_nullary(f: FiniteFunction) -> bool | None:
     left = all(len(set(t)) == 1 for _, _, t in _id_minors(f))
-    return left == (quasi_arity(f) == 0)
+    qa = quasi_arity(f)
+    return left == (qa == 0) and (qa != 0 or _supports_agree(f, qa))
 
 
 def _check_minors_unary_iff_quasi_unary(f: FiniteFunction) -> bool | None:
     left = all(_essential_count(f.k, f.n, t) == 1 for _, _, t in _id_minors(f))
-    return left == (quasi_arity(f) == 1)
+    qa = quasi_arity(f)
+    return left == (qa == 1) and (qa != 1 or _supports_agree(f, qa))
 
 
 @lru_cache(maxsize=1)
@@ -766,12 +777,9 @@ def _check_each(spec: SweepSpec, functions) -> tuple[int, list[tuple[int, ...]]]
     check = THEOREMS[spec.theorem]
     if not check.arity(spec.k, spec.n):
         return 0, []
-    keep = parse_instance_filter(spec.filter) if spec.filter else None
     checked = 0
     failures = []
     for f in functions:
-        if keep is not None and not keep(f):
-            continue
         if check.all_essential and not _all_essential(f):
             continue
         if check.quasi_full and quasi_arity(f) != f.n:

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from aritygap import (
-    DiagonalRestriction,
     FiniteFunction,
     MinorMap,
     UnsupportedArityError,
@@ -70,8 +69,11 @@ def test_essential_examples():
 def test_essential_on_diagonal_examples():
     assert essential_slots_on_diagonal(salomaa3()) == {}
     rng = random.Random(1)
+    # The repeat set is the whole domain at n > k, and all of A at n = 1.
     f = random_function(rng, 2, 3, 2)
-    assert set(essential_slots_on_diagonal(f)) == set(essential_slots(f))
+    assert essential_slots_on_diagonal(f) == essential_slots(f) != {}
+    g = FiniteFunction(2, 1, 2, (0, 1))
+    assert essential_slots_on_diagonal(g) == essential_slots(g) != {}
     assert set(essential_slots_on_diagonal(semiproj3())) == {1}
     assert brute_essential(semiproj3(), diagonal_only=True) == {1}
 
@@ -108,22 +110,6 @@ def test_diagonal_subset_of_full(seed):
     rng = random.Random(99 + seed)
     f = random_function(rng, 3, 3, 2)
     assert set(essential_slots_on_diagonal(f)) <= set(essential_slots(f))
-
-
-def test_diagonal_restriction_membership():
-    d = DiagonalRestriction(salomaa3())
-    assert d.contains((0, 0, 1))
-    assert not d.contains((0, 1, 2))
-    assert d.size == 27 - 6
-    assert all(len(set(t)) < 3 for t in d.tuples())
-    assert len(list(d.indices())) == d.size
-
-
-def test_diagonal_restriction_degenerate_cases():
-    f = random_function(random.Random(0), 2, 3, 2)
-    assert DiagonalRestriction(f).size == 8  # n > k: the whole domain
-    g = FiniteFunction(2, 1, 2, (0, 1))
-    assert DiagonalRestriction(g).size == 2  # unary: all of A
 
 
 def test_support_extension_nullary():
@@ -166,8 +152,7 @@ def test_support_extension_agrees_on_diagonal(k, n, b):
     for _ in range(20):
         f = random_function(rng, k, n, b)
         ext = support_extension(f)
-        d = DiagonalRestriction(f)
-        for t in d.tuples():
+        for t in filter(has_repeat, all_tuples(k, n)):
             if ext.nullary:
                 assert f.eval(t) == ext.h.table[0]
             else:
@@ -184,7 +169,7 @@ def test_padded_extension_is_a_support(k, n, b):
             padded = constant(k, n, b, ext.h.table[0])
         else:
             padded = simple_minor(ext.h, MinorMap(len(ext.slots), n, ext.slots))
-        for t in DiagonalRestriction(f).tuples():
+        for t in filter(has_repeat, all_tuples(k, n)):
             assert padded.eval(t) == f.eval(t)
 
 

@@ -1,7 +1,9 @@
 import ast
 import builtins
 import importlib
+import inspect
 import itertools
+import json
 import pkgutil
 import random
 import re
@@ -16,13 +18,11 @@ from aritygap import oracle
 from aritygap.core import _check_shape
 from aritygap.oracle import THEOREMS
 from aritygap import (
-    DiagonalRestriction,
     FiniteFunction,
     FunctionFormatError,
     MinorMap,
     SweepSpec,
     UnarySupport,
-    VariablePartition,
     all_tuples,
     constant,
     gen_essentially_m_ary,
@@ -105,7 +105,6 @@ def _outcome(call):
         (lambda: MinorMap(0, 2, ()), (ValueError, "arities must be >= 1")),
         (lambda: MinorMap(2, 0, (1, 1)), (ValueError, "arities must be >= 1")),
         (lambda: MinorMap(2, 2, [2, 1]).sigma, (2, 1)),
-        (lambda: VariablePartition(2, ((1, 2), ())), (ValueError, "empty block")),
         (lambda: projection(2, 2, 3), (ValueError, "projection slot 3 not in 1..2")),
         (lambda: projection(2, 2, 0), (ValueError, "projection slot 0 not in 1..2")),
         (lambda: FiniteFunction(2, 1, 2, [1, 0]).table, (1, 0)),
@@ -137,7 +136,6 @@ def _outcome(call):
         ),
         (lambda: unique_unary_support(NOT1), UnarySupport((NOT1,), (1,), False)),
         (lambda: unique_unary_support(CONST1), UnarySupport((CONST1,), (), False)),
-        (lambda: [DiagonalRestriction(NOT1).contains(t) for t in ((0,), (1,))], [True, True]),
         (
             lambda: FiniteFunction(2.0, 2, 2, (0, 1, 1, 0)),
             (ValueError, "domain size k must be an integer, got 2.0"),
@@ -168,7 +166,6 @@ def _outcome(call):
         "minor-map-source-arity",
         "minor-map-target-arity",
         "minor-map-list-sigma",
-        "partition-empty-block",
         "projection-slot-high",
         "projection-slot-low",
         "function-list-table",
@@ -182,7 +179,6 @@ def _outcome(call):
         "sweep-negative-sample-count",
         "unary-support-unary",
         "unary-support-constant",
-        "diagonal-restriction-unary",
         "function-float-domain-size",
         "function-float-codomain-size",
         "function-str-arity",
@@ -506,3 +502,43 @@ def test_large_index_maps_are_not_kept():
         cached.cache_clear()
         assert oracle.oracle_gap(f) == 2
         assert cached.cache_info().currsize == kept
+
+
+def _benchmark_functions() -> list[str]:
+    # The <module>.<function> of each per-layer metric <module>.<function>.calls
+    # in BENCHMARK.json that is not itself one of the tracer's layers.
+    root = Path(__file__).resolve().parents[1]
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    tracer = ast.parse((root / "perfbench" / "tracer.py").read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    )
+    named = {m["name"].removesuffix(".calls") for m in metrics if m["name"].endswith(".calls")}
+    return sorted(named - set(layers))
+
+
+def _not_public_functions(names: list[str]) -> list[str]:
+    # The names that are not a public function defined in aritygap.<module>,
+    # which is what the tracer wraps and counts.
+    missing = []
+    for name in names:
+        module, _, function = name.partition(".")
+        mod = importlib.import_module(f"aritygap.{module}")
+        obj = getattr(mod, function, None)
+        public = not function.startswith("_") and inspect.isfunction(obj)
+        if not public or obj.__module__ != mod.__name__:
+            missing.append(name)
+    return missing
+
+
+def test_benchmark_names_only_public_functions_that_exist():
+    # A deleted or moved function would stop every traced benchmark run.
+    names = _benchmark_functions()
+    assert {"classify.anf", "oracle.function_by_id", "minors.simple_minor"} <= set(names)
+    assert _not_public_functions(names) == []
+    # A name the package does not define, or defines only privately or by
+    # import, is caught.
+    invented = ["minors.partition_minor", "analysis._essential_ids", "gap.restrict_to_essential"]
+    assert _not_public_functions(names + invented) == invented

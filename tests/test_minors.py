@@ -8,7 +8,6 @@ from aritygap import (
     FiniteFunction,
     arity_gap,
     MinorMap,
-    VariablePartition,
     all_tuples,
     diagonal,
     essential_arity,
@@ -16,7 +15,6 @@ from aritygap import (
     gen_essentially_m_ary,
     gen_quasi_m_ary,
     identification_minor,
-    partition_minor,
     simple_minor,
     tuple_to_index,
 )
@@ -109,32 +107,6 @@ def test_identification_equals_simple_minor():
         )
 
 
-def test_partition_two_blocks():
-    delta = VariablePartition(3, ((1, 2), (3,)))
-    assert partition_minor(XOR3, delta) == identification_minor(XOR3, 2, 1)
-
-
-def test_partition_equality_is_identity():
-    delta = VariablePartition(3, ((1,), (2,), (3,)))
-    assert partition_minor(MAJ3, delta) == MAJ3
-
-
-def test_partition_all_in_one():
-    delta = VariablePartition(3, ((1, 2, 3),))
-    assert partition_minor(MAJ3, delta).table == (0, 0, 0, 0, 1, 1, 1, 1)
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        VariablePartition(3, ((1, 2),))
-    with pytest.raises(ValueError):
-        VariablePartition(3, ((1, 2), (2, 3)))
-    with pytest.raises(ValueError):
-        VariablePartition(3, ((1, 2), (3, 4)))
-    with pytest.raises(ValueError):
-        partition_minor(XOR3, VariablePartition(2, ((1,), (2,))))
-
-
 def test_diagonal_examples():
     assert diagonal(XOR2).table == (0, 0)
     assert diagonal(MAJ3).table == (0, 1)
@@ -163,17 +135,6 @@ def test_minors_never_gain_essential_slots(seed):
         sigma = tuple(rng.randint(1, target) for _ in range(n))
         m = simple_minor(f, MinorMap(n, target, sigma))
         assert len(essential_slots(m)) <= len(essential_slots(f))
-
-
-@pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
-def test_pair_partition_matches_identification(k, n):
-    rng = random.Random(k * 10 + n)
-    for _ in range(10):
-        f = FiniteFunction(k, n, 2, tuple(rng.randrange(2) for _ in range(k**n)))
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            blocks = tuple((s,) for s in range(1, n + 1) if s not in (i, j)) + ((i, j),)
-            delta = VariablePartition(n, blocks)
-            assert partition_minor(f, delta) == identification_minor(f, j, i)
 
 
 # The section of f at x_i = x_j: an (n-1)-ary table without slot i.

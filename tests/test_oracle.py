@@ -6,6 +6,7 @@ import random
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from operator import itemgetter
 
 import pytest
@@ -23,6 +24,7 @@ from aritygap import (
     THEOREMS,
     UnsupportedCodomainError,
     arity_gap,
+    diagonal,
     essential_slots,
     from_function,
     function_by_id,
@@ -36,6 +38,7 @@ from aritygap import (
     is_restriction_totally_symmetric,
     oracle_gap,
     oracle_quasi_arity,
+    parse,
     quasi_arity,
     render,
     render_report,
@@ -43,6 +46,7 @@ from aritygap import (
     verify,
 )
 from aritygap import oracle
+from aritygap.cli import main
 from aritygap.oracle import (
     TheoremCheck,
     _essential_count,
@@ -630,7 +634,6 @@ GENERATOR_CASES = {
         lambda s: gen_ternary_pattern(3, ((s >> 2) & 1, (s >> 1) & 1, s & 1), s)
     ),
     "ternary-4-011-b2": (lambda s: gen_ternary_pattern(4, (0, 1, 1), s, b=2)),
-    "ternary-3-100-h": (lambda s: gen_ternary_pattern(3, (1, 0, 0), s, b=3, h_table=(0, 2, 2))),
     "ternary-2-100": (lambda s: gen_ternary_pattern(2, (1, 0, 0), s)),
     "semiprojection-3-3-t1": (lambda s: gen_semiprojection(3, 3, 1, s)),
     "semiprojection-4-4-t3": (lambda s: gen_semiprojection(4, 4, 3, s)),
@@ -650,7 +653,6 @@ GENERATOR_DIGESTS = {
     "semiprojection-4-2-t2": "8785e0f5e525cfbdac76947d39a2467714a74c79b00618373364b8e5e5b353ce",
     "semiprojection-4-4-t3": "a9e94cf5f109e3ff061d329c1e285c2e439080684c961b27047d44867c7cca37",
     "ternary-2-100": "20d06d8f03642c8e89316072203a81a6791c75a4d747e1f9f5780259602e99bd",
-    "ternary-3-100-h": "a549ef0118637625cc10f3c1acbb54bcc1988d87978601be5b421c180519536e",
     "ternary-3-all-patterns": "688635f11532fad82011d07874665d23d3e77d38009c52957084af2be4f3f646",
     "ternary-4-011-b2": "103cd99af1495557542d3ab1f03ec0094f6062f74b087cde6301339e2b98e906",
 }
@@ -855,8 +857,6 @@ def test_declared_hypotheses_decide_what_is_checked(monkeypatch):
         assert (report.checked, report.failures) == (checked, ())
     # Decided once for the sweep and once for the (empty) witness battery.
     assert shapes == [(2, 1)] * 2 + [(2, 2)] * 2 + [(2, 3)] * 2
-    narrowed = verify(SweepSpec("DOCTORED", 2, 2, 2, "exhaustive", filter="ess=1"))
-    assert narrowed.checked == 0
 
     full = TheoremCheck("FULL", "quasi-arity n", lambda f: quasi_arity(f) == f.n, quasi_full=True)
     monkeypatch.setitem(THEOREMS, "FULL", full)
@@ -910,6 +910,53 @@ def test_identification_sweeps_keep_one_map_per_ordered_pair(theorem, checked):
     assert oracle._id_gather.cache_info().currsize == 12
 
 
+def _support_at_next_slot(f):
+    # unique_unary_support reading the slot after the one essential on the
+    # repeat set.
+    u = _unary_support(f)
+    slots = tuple(s % f.n + 1 for s in u.slots)
+    supports = tuple(simple_minor(diagonal(f), MinorMap(1, f.n, (s,))) for s in slots)
+    return replace(u, supports=supports or u.supports, slots=slots)
+
+
+def _extension_at_next_slot(f):
+    # support_extension naming the slot after each of its slots.
+    ext = _support_extension(f)
+    return replace(ext, slots=tuple(s % f.n + 1 for s in ext.slots))
+
+
+def _support_of_next_value(f):
+    # unique_unary_support with every value moved to the next one.
+    u = _unary_support(f)
+    moved = tuple(replace(g, table=tuple((v + 1) % g.b for v in g.table)) for g in u.supports)
+    return replace(u, supports=moved)
+
+
+_unary_support, _support_extension = oracle.unique_unary_support, oracle.support_extension
+
+
+@pytest.mark.parametrize(
+    "theorem, name, fault, failures",
+    [
+        # The 8 essentially unary and the 2 constant (2,4,2) functions.
+        ("T3.5ii", "unique_unary_support", _support_at_next_slot, 8),
+        ("T3.5ii", "support_extension", _extension_at_next_slot, 8),
+        ("T3.5i", "unique_unary_support", _support_of_next_value, 2),
+    ],
+    ids=["support-at-next-slot", "extension-at-next-slot", "support-of-next-value"],
+)
+def test_t35_sweeps_check_the_supports(monkeypatch, capsys, theorem, name, fault, failures):
+    # At quasi-arity 0 or 1 the T3.5 sweeps also hold the Section 3 supports
+    # to their definitions, so a support that reads the wrong slot or value
+    # fails there.
+    argv = ["verify", "--theorem", theorem, "--k", "2", "--n", "4", "--b", "2", "--exhaustive"]
+    monkeypatch.setattr(oracle, name, fault)
+    assert main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"theorem={theorem} checked=65536 failures={failures} seed=-"
+    assert {quasi_arity(parse(line)) for line in lines[1:]} == {0 if theorem == "T3.5i" else 1}
+
+
 def test_failures_replay(monkeypatch):
     # doctor a check so some functions fail, then replay each failure
     flaky = TheoremCheck("FLAKY", "table starts with zero", lambda f: f.table[0] == 0)
@@ -921,15 +968,6 @@ def test_failures_replay(monkeypatch):
     rendered = render_report(report)
     assert rendered.splitlines()[0] == "theorem=FLAKY checked=16 failures=8 seed=-"
     assert "2 2 2;" in rendered
-
-
-def test_verify_instance_filter():
-    narrowed = verify(SweepSpec("T6.4ii", 2, 2, 2, "exhaustive", filter="qa=0"))
-    everything = verify(SweepSpec("T6.4ii", 2, 2, 2, "exhaustive"))
-    assert narrowed.failures == ()
-    assert 0 < narrowed.checked < everything.checked
-    with pytest.raises(ValueError):
-        SweepSpec("T6.4ii", 2, 2, 2, "exhaustive", filter="range=3")
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ from aritygap import (
     GapUndefinedError,
     MinorMap,
     NoSuchSupportError,
-    VariablePartition,
     arity_gap,
     classify_pseudo_boolean,
     diagonal,
@@ -39,7 +38,6 @@ from aritygap import (
     gen_quasi_m_ary,
     identification_minor,
     parse,
-    partition_minor,
     quasi_arity,
     render,
     restrict_to_essential,
@@ -177,11 +175,8 @@ def test_trusted_sites_build_publicly_valid_functions(f, data):
     # These sites skip the constructor's checks; the checks must still pass.
     n = data.draw(st.integers(1, max_arity(f.k)))
     sigma = tuple(data.draw(st.lists(st.integers(1, n), min_size=f.n, max_size=f.n)))
-    labels = data.draw(st.lists(st.integers(1, f.n), min_size=f.n, max_size=f.n))
-    blocks = [tuple(s for s in range(1, f.n + 1) if labels[s - 1] == label) for label in set(labels)]
     results = [
         simple_minor(f, MinorMap(f.n, n, sigma)),
-        partition_minor(f, VariablePartition(f.n, blocks)),
         diagonal(f),
         restrict_to_essential(f)[0],
         function_by_id(f.k, f.n, f.b, data.draw(st.integers(0, f.b**f.size - 1))),
