@@ -143,7 +143,8 @@ class _Output:
     """Stdout, or the --out file opened at the first write, so a command that
     fails before writing leaves an existing file as it was.  The file is not
     truncated at open: the output is written over the old bytes, and close()
-    cuts a regular file to the written length (a device or FIFO is never cut)."""
+    cuts a regular file that is longer than what was written to that length
+    (a device or FIFO is never cut)."""
 
     def __init__(self, args):
         self.path = getattr(args, "outfile", None)
@@ -164,8 +165,9 @@ class _Output:
                     self.fh.close()  # a failed flush is raised after the cut below
             finally:
                 try:  # the offset counts only the bytes the kernel took
-                    if stat.S_ISREG(os.fstat(fd).st_mode):
-                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+                    st = os.fstat(fd)
+                    if stat.S_ISREG(st.st_mode) and st.st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+                        os.ftruncate(fd, end)
                 finally:
                     os.close(fd)
 

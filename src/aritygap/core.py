@@ -22,9 +22,10 @@ two-line form.  A stream is validated as a whole before any function is
 returned, so one bad token anywhere rejects all of it.  Tokens are read by
 ``int()``: ``+1``, ``1_0`` and non-ASCII decimal digits pass, ``²`` does not.
 Text wholly in ``render``'s layout, ending in a newline, with every row of
-single digits below b, is read line by line as bytes, kept until ``table``
-is first read; any other text takes the word path, which gives the same
-functions and locates every error.
+single digits below b, is read as bytes, the rows of a run of equal header
+lines checked at once, and kept as bytes until ``table`` is first read; any
+other text takes the word path, which gives the same functions and locates
+every error.
 """
 
 from __future__ import annotations
@@ -277,11 +278,14 @@ def parse_stream(text: str) -> list[FiniteFunction]:
     """
     # The line path, for render's layout: pairs of a header line of three
     # ASCII numbers and a row of k^n digits below b at its even bytes (then
-    # size - 1 spaces fill the odd ones).  If one pair does not fit, the word
-    # path reads the whole text.
+    # size - 1 spaces fill the odd ones).  Each run of equal header lines is
+    # checked once, and its rows, each 2 * size - 1 characters long, are
+    # joined by spaces into blobs of about 64 KiB that are checked as one
+    # row.  If one part does not fit, the word path reads the whole text.
     lines, fns = text.split("\n"), []
     if lines.pop() == "" and len(lines) % 2 == 0:
-        for header, row in zip(lines[::2], lines[1::2]):
+        rows = iter(lines[1::2])
+        for header, run in itertools.groupby(lines[::2]):
             head = header.split()
             if len(head) != 3 or not all(w.isascii() and w.isdigit() for w in head):
                 break
@@ -290,11 +294,20 @@ def parse_stream(text: str) -> list[FiniteFunction]:
                 size = _check_shape(k, n, b)
             except ValueError:
                 break
-            raw = len(row) == 2 * size - 1 and row.isascii() and row.encode()
-            if not raw or raw[::2].translate(None, _DIGITS[:b]) or raw.count(b" ") != size - 1:
-                break
-            packed = raw[::2].translate(_DIGIT_VALUES)
-            fns.append(_LazyTable._valid(k, n, b, None, packed))
+            while count := len(list(itertools.islice(run, 1 + 32767 // size))):
+                block = list(itertools.islice(rows, count))
+                raw = " ".join(block)
+                if set(map(len, block)) != {2 * size - 1} or not raw.isascii():
+                    break
+                raw = raw.encode()
+                if raw[::2].translate(None, _DIGITS[:b]) or raw.count(b" ") != count * size - 1:
+                    break
+                packed = raw[::2].translate(_DIGIT_VALUES)
+                for at in range(0, count * size, size):
+                    fns.append(_LazyTable._valid(k, n, b, None, packed[at : at + size]))
+            else:
+                continue
+            break
         else:
             return fns
     # ';' separates words as a newline does, so the compact one-line form

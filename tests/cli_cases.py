@@ -285,6 +285,15 @@ PINS = [
     Case("analyze-codomain-11-stream", "analyze", stdin="2 2 11\n10 0 0 10\n2 2 11\n0 0 0 1\n",
          out=XOR2 + AND2),
     Case("analyze-two-spaces", "analyze", stdin="2 2 2\n0 1  1 0\n", out=XOR2),
+    # A run of equal headers is read a blob of rows at a time: the row before
+    # a failing table is still written first, and a row's last " 2" moved to
+    # the front of the next row of its run takes the word path.
+    Case("analyze-run-constant-middle", "analyze",
+         stdin="2 2 2\n0 1 1 0\n2 2 2\n0 0 0 0\n2 2 2\n0 0 0 1\n", code=1, out=XOR2,
+         err="aritygap: arity gap needs >= 2 essential slots, got 0\n"),
+    Case("classify-run-shifted-row", "classify",
+         stdin="2 2 3\n0 1 1\n2 2 3\n2 0 1 1 0\n2 2 3\n2 0 0 1\n", code=2,
+         err="aritygap: line 5, col 1: value 2 not in 0..1\n"),
     Case("classify-boolean", "classify --boolean",
          stdin="2 2 2\n0 1 1 0\n2 3 2\n0 0 0 1 0 1 1 1\n2 3 2\n0 1 1 0 1 0 0 1\n",
          out="gap=2 tag=QuasiNMinus2 m=0 family=linear c=0 perm=1,2\n"

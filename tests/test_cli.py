@@ -621,6 +621,23 @@ def test_out_to_a_device_or_fifo_is_never_cut(tmp_path, monkeypatch, capsys):
     assert cut == []
 
 
+def test_out_cuts_only_a_file_longer_than_the_output(tmp_path, monkeypatch, capsys):
+    # A fresh file and a same-length rewrite need no cut; a file with an old
+    # tail gets exactly one, to the written length.
+    cut = []
+    ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda *a: cut.append(a[1]) or ftruncate(*a))
+    target = tmp_path / "out.txt"
+    argv = ["gen", "salomaa", "--k", "2", "--out", str(target)]
+    for old, cuts in ((None, []), ("2 2 2\n0 1 0 0\n", []), ("x" * 99 + "\n", [14])):
+        if old is not None:
+            target.write_text(old)
+        cut.clear()
+        assert run_cli(argv, "", monkeypatch, capsys) == (0, "", "")
+        assert target.read_text() == "2 2 2\n0 1 0 0\n"
+        assert cut == cuts
+
+
 def test_out_opens_an_existing_file_without_truncating(tmp_path, monkeypatch, capsys):
     target = tmp_path / "out.txt"
     target.write_text("old contents\n")

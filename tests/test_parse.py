@@ -239,18 +239,101 @@ def test_parse_matches_reference_on_edited_renders():
     check_edited_renders(parse_stream)
 
 
-SEPARATOR_CHECK = ' or raw.count(b" ") != size - 1'
+SEPARATOR_CHECK = ' or raw.count(b" ") != count * size - 1'
 
 
 def test_edited_renders_fail_a_line_path_without_its_separator_check():
-    # A twin of parse_stream whose line path does not check that the row's
-    # odd bytes are spaces.
+    # A twin of parse_stream whose line path does not check that the odd
+    # bytes of a blob of rows are spaces.
     source = inspect.getsource(core.parse_stream)
     assert source.count(SEPARATOR_CHECK) == 1
     scope = dict(vars(core))
     exec(source.replace(SEPARATOR_CHECK, ""), scope)
     with pytest.raises(AssertionError):
         check_edited_renders(scope["parse_stream"])
+
+
+@st.composite
+def edited_runs(draw):
+    # render's output for two to six functions of at most two shapes, so
+    # that equal header lines form runs, which the line path checks a blob
+    # of rows at a time.  A header may be re-spelled, which starts a new run.
+    # Up to two edits: a character inserted, replaced or deleted, or a paired
+    # shift that moves the last " d" of one row to the front of the next row
+    # of its run, as "d ", which leaves the blob of the two rows as it was.
+    # Returns the text and whether it is render's output with every value
+    # below 10, which the line path must read.
+    shapes = draw(st.lists(st.tuples(st.integers(2, 3), st.integers(1, 3), st.integers(2, 12)),
+                           min_size=1, max_size=2))
+    text, clean = "", True
+    for _ in range(draw(st.integers(2, 6))):
+        k, n, b = draw(st.sampled_from(shapes))
+        table = draw(st.lists(st.integers(0, b - 1), min_size=k**n, max_size=k**n))
+        respelled = (f"{k} {n} {b}", f"{k}  {n} {b}", f"0{k} {n} {b}")
+        text += draw(st.sampled_from(respelled[:1] * 3 + respelled[1:])) + "\n"
+        text += render(FiniteFunction(k, n, b, tuple(table))).split("\n", 1)[1]
+        clean = clean and max(table) < 10
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(("shift", "shift", "insert", "replace", "delete")))
+        lines = text.split("\n")
+        pairs = [i for i in range(1, len(lines) - 2) if lines[i - 1] == lines[i + 1]]
+        if edit == "shift" and pairs:
+            i = draw(st.sampled_from(pairs))
+            lines[i : i + 3 : 2] = lines[i][:-2], lines[i][-1:] + " " + lines[i + 2]
+            text, clean = "\n".join(lines), False
+        elif edit != "shift":
+            at = draw(st.integers(0, len(text) - 1))
+            c = draw(st.sampled_from(ALPHABET))
+            text = text[:at] + (c if edit != "delete" else "") + text[at + (edit != "insert") :]
+            clean = False
+    return text, clean
+
+
+def check_edited_runs(parser):
+    @settings(FUZZ, max_examples=300)
+    @given(edited_runs())
+    def check(drawn):
+        text, clean = drawn
+        got = outcome(parser, text)
+        assert got == outcome(reference_parse_stream, text)
+        packed = [f._packed for f in got[1]] if got[0] == "ok" else []
+        if clean or any(p is not None for p in packed):
+            assert all(type(p) is bytes and p == bytes(f.table) for p, f in zip(packed, got[1]))
+
+    check()
+
+
+def test_parse_matches_reference_on_edited_runs():
+    check_edited_runs(parse_stream)
+
+
+ROW_LENGTH_CHECK = "set(map(len, block)) != {2 * size - 1} or "
+
+
+def test_edited_runs_fail_a_line_path_without_its_row_length_check():
+    # A twin of parse_stream whose line path checks only the blob of a run's
+    # rows, so a paired shift between two rows still joins into a valid blob.
+    source = inspect.getsource(core.parse_stream)
+    assert source.count(ROW_LENGTH_CHECK) == 1
+    scope = dict(vars(core))
+    exec(source.replace(ROW_LENGTH_CHECK, ""), scope)
+    with pytest.raises(AssertionError):
+        check_edited_runs(scope["parse_stream"])
+
+
+def test_a_run_longer_than_one_blob_is_located_at_a_bad_digit_in_its_last_row():
+    # 5,000 (2,4,2) tables, 160 KB of one run, so several blobs of about
+    # 64 KiB: the line path reads them all, and a 2 as the very last value
+    # sends the whole text to the word path, which locates it.
+    rng = random.Random("run-2-4-2")
+    fns = [FiniteFunction(2, 4, 2, tuple(rng.randrange(2) for _ in range(16))) for _ in range(5000)]
+    text = "".join(map(render, fns))
+    got = parse_stream(text)
+    assert got == fns and all(f._packed == bytes(f.table) for f in got)
+    text = text[:-2] + "2\n"
+    got = outcome(parse_stream, text)
+    assert got == ("error", "value 2 not in 0..1", 10000, 31)
+    assert got == outcome(reference_parse_stream, text)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
