@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -48,55 +48,79 @@ def _repeat_set(k: int, n: int, items: Iterable, off: bool = False) -> Iterator:
 
 _RUN_CAP = 64  # entries compared by a run's probe
 _MIN_RUN = 16  # below this, comparing pairs one by one is faster than slicing
+_WORDS = " HIQ"  # memoryview formats of 2^e bytes, e = 1..3
 
 
 @lru_cache(maxsize=64)
-def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    # Each slot with its heads (a, b, span, step): the slot is essential
-    # (within the repeat set when on_repeat) iff some head has table[a] !=
-    # table[b] or, for span > 0, table[a:a+span:step] != table[b:b+span:step].
-    # With stride s, each block of k*s entries holds the k values of the slot; a
-    # run pairs the entries with digit 0 there with those with digit d,
-    # inside a block (step 1) or along a residue mod k*s (step k*s),
-    # whichever is longer.  Each run is compared in two slices: a probe of
-    # its first _RUN_CAP entries, where a table that depends on the slot
-    # usually differs, then the rest of the run in one memcmp on a packed
-    # table.  Runs shorter than _MIN_RUN, and the repeat set when it is not
-    # the whole domain, list pairs instead: in each fiber of the slot, its
-    # first member in the repeat set with each later one.
+def _plan(k: int, n: int, on_repeat: bool) -> tuple[tuple[tuple, tuple], ...]:
+    # Per slot ((slot, probe), confirm): it is essential (on the repeat set
+    # if on_repeat) iff a probe head (a, b, span, step) has table[a] !=
+    # table[b] or, if span, table[a:a+span:step] != table[b:b+span:step],
+    # or confirm is not probe and _inessential denies it.  With stride s, a
+    # run pairs digit 0 of the slot with digit d, in a block of k*s entries
+    # or along a residue mod k*s, whichever is longer, in two slices: the
+    # first _RUN_CAP entries, where a slot that matters usually differs, and
+    # the rest, left out of the probe only at k = 2 if f of its first n - e
+    # slots, e = min(3, n - slot), has a shorter plan in words of 2^e
+    # entries.  Short runs and the repeat set list pairs: a fiber's first
+    # member in the repeat set with each later one; there the probe stops at
+    # _RUN_CAP, and confirm holds lanes D_d & R & (R >> 8*d*s), d < k, a byte
+    # per entry: R on the set, D_d where the slot's digit is at most k-1-d.
     if on_repeat and not 2 <= n <= k:
         return _plan(k, n, False)
-    size = k**n
+    size, plan = k**n, []
     flags = _repeat_flags(k, n) if on_repeat else b"\x01" * size
-    plan = []
+    r = int.from_bytes(flags, "little") * 255 if on_repeat else 0
     for slot in range(1, n + 1):
-        s = k ** (n - slot)
-        width = k * s
-        run = max(s, size // width)
-        heads: list[tuple[int, int, int, int]] = []
+        s, e = k ** (n - slot), min(3, n - slot)
+        width, run = k * s, max(s, size // (k * s))
+        probe, rest = [], []  # of heads (a, b, span, step)
         if on_repeat or run < _MIN_RUN:
-            for a in (q + r for q in range(0, size, width) for r in range(s)):
-                fiber = [c for c in range(a, a + width, s) if flags[c]]
-                heads += [(fiber[0], c, 0, 1) for c in fiber[1:]]
+            fibers = ([c for c in range(a, a + width, s) if flags[c]] for a in range(size) if a // s % k == 0)
+            pairs = ((f[0], c, 0, 1) for f in fibers for c in f[1:])
+            probe += islice(pairs, _RUN_CAP + 1 if on_repeat else None)
         else:
             step = 1 if run == s else width
             for lead in range(0, size, width) if step == 1 else range(s):
                 cut, end = lead + min(run, _RUN_CAP) * step, lead + run * step
-                for a, z in (lead, cut), (cut, end):
-                    heads += [(a, a + d * s, z - a, step) for d in range(1, k) if a < z]
-        plan.append((slot, tuple(heads)))
+                for part, (a, z) in zip((probe, rest), ((lead, cut), (cut, end))):
+                    part += [(a, a + d * s, z - a, step) for d in range(1, k) if a < z]
+        confirm = heads = tuple(probe + rest)
+        if on_repeat and len(heads) > _RUN_CAP:
+            blocks = ((b"\xff" * (width - d * s) + bytes(d * s)) * (size // width) for d in range(1, k))
+            heads = heads[:_RUN_CAP]
+            confirm = tuple(int.from_bytes(x, "little") & r & r >> 8 * d * s for d, x in enumerate(blocks, 1))
+        elif k == 2 and rest and e and len(_plan(2, n - e, False)[slot - 1][1]) < len(rest):
+            heads = heads[: len(probe)]
+        plan.append(((slot, heads), confirm))
     return tuple(plan)
+
+
+def _inessential(k: int, n: int, slot: int, table: Sequence[int], probe, confirm, on_repeat) -> bool:
+    # _plan's confirmation; entries above 255 give a lane int per byte.
+    if on_repeat and 2 <= n <= k:
+        top = 8 if isinstance(table, bytes) else max(table).bit_length()
+        planes = [table] if top <= 8 else [bytes(v >> p & 255 for v in table) for p in range(0, top, 8)]
+        xs = [int.from_bytes(x, "little") for x in planes]
+        return not any(((x >> 8 * d * k ** (n - slot)) ^ x) & m for x in xs for d, m in enumerate(confirm, 1))
+    if isinstance(table, bytes):
+        e = min(3, n - slot)
+        table, probe, confirm = memoryview(table).cast(_WORDS[e]), (), _plan(2, n - e, False)[slot - 1][1]
+    same = (table[a] == table[b] and (not span or table[a : a + span : step] == table[b : b + span : step])
+            for a, b, span, step in confirm[len(probe) :])
+    return all(same)
 
 
 def _essential_ids(k: int, n: int, table: Sequence[int], on_repeat=False) -> tuple[int, ...]:
     out = []
-    for slot, heads in _plan(k, n, on_repeat):
-        for a, b, span, step in heads:
-            if table[a] != table[b] or (
-                span and table[a : a + span : step] != table[b : b + span : step]
-            ):
-                out.append(slot)
+    for (slot, probe), confirm in _plan(k, n, on_repeat):
+        for a, b, span, step in probe:
+            if table[a] != table[b] or (span and table[a : a + span : step] != table[b : b + span : step]):
                 break
+        else:
+            if probe is confirm or _inessential(k, n, slot, table, probe, confirm, on_repeat):
+                continue
+        out.append(slot)
     return tuple(out)
 
 

@@ -153,10 +153,11 @@ class FiniteFunction:
       two values of a valid table over k = 2 as 0 and 1.
 
     ``_packed`` is the same table as ``bytes`` (entry j is byte j), which the
-    essential-slot scan and ``gap._section`` compare in C.  Only the line
-    path of ``parse_stream``, which reads text in ``render``'s layout as
-    bytes, and ``oracle.sampled_function`` at b <= 255 set it, where those
-    bytes already exist; everywhere else it is None.  It is left out of
+    essential-slot scan and ``gap._section`` compare in C, at k = 2 also as
+    words through memoryviews.  Only the line path of ``parse_stream``,
+    which reads text in ``render``'s layout as bytes, and
+    ``oracle.sampled_function`` at b <= 255 set it, where those bytes
+    already exist; everywhere else it is None.  It is left out of
     ``==``, ``hash`` and ``repr``, so a parsed function equals its twin.
     The line path's instances are of a private subclass that builds
     ``table`` from ``_packed`` on first read, so readers take ``_values(f)``,

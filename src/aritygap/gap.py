@@ -15,7 +15,7 @@ from .core import (
     all_tuples,
     _values,
 )
-from .analysis import _essential_ids, _repeat_set, restrict_to_essential
+from .analysis import _WORDS, _essential_ids, _repeat_set, restrict_to_essential
 from .minors import _substitute, diagonal
 
 
@@ -25,25 +25,30 @@ def _section_layout(k: int, n: int, i: int, j: int) -> tuple:
     # without slot i, in slices.  The free digits above, between and below
     # slots i and j form three groups of (count, step in f's table, step in
     # the section); each slice runs along the longest group, and the other
-    # two give the (table, section) offsets of its starts.  The common digit
-    # a weighs k^(n-i) + k^(n-j) in f's table and k^(n-1-j) in the section,
-    # or k^(n-j) when i < j moves slot j one place up.  Kept at every size:
-    # the layouts of all pairs i < j of a shape hold fewer offsets than f's
-    # table has entries (at most 0.61 k^n, at (2,6); 0.10 k^n at (2,18)).
+    # two (the unit-step one inner) give the (table, section) offsets of its
+    # starts.  The common digit a weighs k^(n-i) + k^(n-j) in f's table and
+    # k^(n-1-j) in the section, or k^(n-j) when i < j moves slot j one place
+    # up.  Kept at every size: the layouts of all pairs i < j of a shape hold
+    # fewer offsets than f's table has entries (at most 0.61 k^n, at (2,6)).
     si, sj = k ** (n - i), k ** (n - j)
     hi, lo = (si, sj) if si > sj else (sj, si)
     mid = k * lo if i < j else lo
-    (c1, s1, t1), (c2, s2, t2), (run, step, ostep) = sorted(
+    *groups, (run, step, ostep) = sorted(
         ((k**n // (k * hi), k * hi, hi), (hi // (k * lo), k * lo, mid), (lo, 1, 1))
     )
+    (c1, s1, t1), (c2, s2, t2) = sorted(groups, key=lambda g: -g[1])
     offsets = [(x * s1 + y * s2, x * t1 + y * t2) for x in range(c1) for y in range(c2)]
     return si + sj, sj if i < j else sj // k, run * step, step, run * ostep, ostep, offsets
 
 
 def _merged_is_inessential(k: int, n: int, i: int, j: int, table: Sequence[int]) -> bool:
     # Whether _section's common digit is inessential: along its layout, each
-    # plane a = 1..k-1 of f's own table equals plane 0.
+    # plane a = 1..k-1 of f's own table equals plane 0, read in words of 2^e
+    # entries (the unit-step starts, thinned) where a packed k = 2 one strides.
     wt, _, span, step, _, _, offsets = _section_layout(k, n, i, j)
+    if k == 2 and step > 1 and isinstance(table, bytes) and (e := min(3, n - max(i, j))):
+        table, offsets = memoryview(table).cast(_WORDS[e]), [(o >> e, p) for o, p in offsets[:: 1 << e]]
+        wt, span, step = wt >> e, span >> e, step >> e
     for x in range(wt, k * wt, wt):
         for o, _ in offsets:
             if table[x + o : x + o + span : step] != table[o : o + span : step]:
